@@ -90,23 +90,17 @@ type Core struct {
 	// tests use it to compare against the architectural reference model.
 	CommitHook func(isa.Commit)
 
-	// Probe, when set, receives security-relevant pipeline events (issue
-	// decisions and load ready broadcasts; see probe.go). Strictly
-	// observational: attaching a Probe must not perturb timing. The
-	// differential fuzzing oracle uses it to assert the schemes' security
-	// invariants.
-	Probe Probe
-	// taintQ caches the scheme's optional read-only taint view for the
-	// probe dispatch (nil for schemes that track no taint).
-	taintQ taintQuerier
-
 	// Recorder, when set, receives every micro-op's stage transitions
 	// (fetch/rename/issue/writeback/visibility-point/commit/squash) with
-	// scheme delay annotations — the per-cycle trace export behind
-	// -trace-out (see recorder.go). Like Probe, strictly observational:
-	// attaching a Recorder must not perturb timing, and the nil case
-	// costs one pointer compare per site.
+	// scheme delay annotations and the security-invariant fields — the
+	// per-cycle trace export behind -trace-out and the differential
+	// oracle's invariant checks (see recorder.go). Strictly
+	// observational: attaching a Recorder must not perturb timing, and the
+	// nil case costs one pointer compare per site.
 	Recorder Recorder
+	// taintQ caches the scheme's optional read-only taint view for
+	// recordEvent (nil for schemes that track no taint).
+	taintQ taintQuerier
 
 	Stats Stats
 }
@@ -416,6 +410,7 @@ func (c *Core) commitStage() {
 		c.rob.pop()
 		c.progressed = true
 		var commitAnnot TraceAnnot
+		var commitFx eventFx
 		if c.vpDone > 0 {
 			// Head pop shifts the visibility-point walk's resume offset.
 			// An unvisited head (commit ran ahead of the walk, offset 0)
@@ -447,9 +442,7 @@ func (c *Core) commitStage() {
 				commitAnnot |= AnnotNDAReleased
 				if b.pd != noReg {
 					c.prf.announce(b.pd, c.cycle)
-					if c.Probe != nil {
-						c.probeBroadcast(u, c.cycle, false, true)
-					}
+					commitFx = fxBroadcast
 				}
 			}
 		case isa.ClassStore:
@@ -489,7 +482,7 @@ func (c *Core) commitStage() {
 			c.CommitHook(c.commitRecord(u))
 		}
 		if c.Recorder != nil {
-			c.recordStage(u, StageCommit, partWhole, commitAnnot)
+			c.recordEvent(u, c.cycle, StageCommit, partWhole, commitAnnot, commitFx)
 		}
 		// The slot recycles immediately: a committed uop has provably
 		// drained every live reference — its events fired before it could
@@ -554,7 +547,7 @@ func (c *Core) vpStage() {
 			return false
 		}
 		// Every guard above has passed: the uop is at the visibility
-		// point. Mark it before the exposure re-access so the probe can
+		// point. Mark it before the exposure re-access so the recorder can
 		// observe (rather than assume) that exposures are never
 		// speculative — a load whose exposure stalls on a busy MSHR is
 		// already safe, it just hasn't paid the re-access yet.
@@ -618,11 +611,8 @@ func (c *Core) vpStage() {
 			// issue next cycle.
 			b.broadcastPending = false
 			c.prf.announce(b.pd, c.cycle+1)
-			if c.Probe != nil {
-				c.probeBroadcast(ld, c.cycle+1, false, true)
-			}
 			if c.Recorder != nil {
-				c.recordStage(ld, StageVP, partWhole, AnnotNDAReleased)
+				c.recordEvent(ld, c.cycle, StageVP, partWhole, AnnotNDAReleased, fxBroadcast)
 			}
 		}
 	}
@@ -662,9 +652,6 @@ func (c *Core) exposeLoad(u int32, now uint64) bool {
 	b.exposeDoneAt = done
 	c.lsu.specBufDrop(u)
 	c.Stats.Exposures++
-	if c.Probe != nil {
-		c.probeCacheAccess(u, now, CacheAccessExposure, hit)
-	}
 	if c.Recorder != nil {
 		// Both exposure sites — the visibility-point walk and commit —
 		// report StageVP: commit is the definitive visibility point, and
@@ -673,7 +660,7 @@ func (c *Core) exposeLoad(u int32, now uint64) bool {
 		if hit {
 			an |= AnnotL1Hit
 		}
-		c.recordStage(u, StageVP, partWhole, an)
+		c.recordEvent(u, now, StageVP, partWhole, an, fxCacheAccess)
 	}
 	return true
 }
@@ -730,9 +717,12 @@ func (c *Core) completeUop(u int32) {
 	if b.pd != noReg {
 		c.prf.value[b.pd] = b.result
 	}
+	var fx eventFx
 	switch c.a.cls[u] {
 	case isa.ClassLoad:
-		c.loadBroadcast(u)
+		if c.loadBroadcast(u) {
+			fx = fxBroadcast
+		}
 	case isa.ClassBranch:
 		c.resolveControl(u, true)
 	case isa.ClassJump:
@@ -761,16 +751,16 @@ func (c *Core) completeUop(u int32) {
 		if (c.a.cls[u] == isa.ClassBranch || b.inst.Op == isa.Jalr) && b.target != b.predTarget {
 			an |= AnnotMispredict
 		}
-		c.recordStage(u, StageWriteback, partWhole, an)
+		c.recordEvent(u, c.cycle, StageWriteback, partWhole, an, fx)
 	}
 }
 
 // loadBroadcast applies the scheme's broadcast policy when load data
-// arrives.
-func (c *Core) loadBroadcast(u int32) {
+// arrives. It reports whether the ready broadcast was released here.
+func (c *Core) loadBroadcast(u int32) bool {
 	b := &c.a.body[u]
 	if b.pd == noReg {
-		return
+		return false
 	}
 	if c.sch.delaysLoadBroadcast() && !b.nonSpec {
 		// NDA: data is written to the register file but the ready
@@ -778,16 +768,16 @@ func (c *Core) loadBroadcast(u int32) {
 		// (Figure 5b's split data-write/broadcast buses).
 		b.broadcastPending = true
 		c.Stats.DelayedBroadcasts++
-		return
+		return false
 	}
 	if !c.sch.specWakeup(c.cfg.SpecWakeup) {
 		// Without speculative wakeup the broadcast follows writeback.
 		c.prf.announce(b.pd, c.cycle+1)
-		if c.Probe != nil {
-			c.probeBroadcast(u, c.cycle+1, !b.nonSpec, false)
-		}
+		return true
 	}
-	// With speculative wakeup readyAt was announced (and probed) at issue.
+	// With speculative wakeup readyAt was announced (and recorded) at
+	// issue.
+	return false
 }
 
 // resolveControl handles branch/jalr resolution, squashing on mispredict.
@@ -979,9 +969,6 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			b.addrDoneAt = c.cycle + c.cfg.ExecDelay + c.cfg.AGULat
 			c.Stats.IssuedUops++
 			c.schedule(u, b.addrDoneAt, evStoreAddr)
-			if c.Probe != nil {
-				c.probeIssue(u, partStoreAddr)
-			}
 			if c.Recorder != nil {
 				c.recordStage(u, StageIssue, partStoreAddr, 0)
 			}
@@ -998,9 +985,6 @@ func (c *Core) issueStoreParts(u int32, slots, memPorts *int) {
 			b.dataDoneAt = c.cycle + c.cfg.ExecDelay + 1
 			c.Stats.IssuedUops++
 			c.schedule(u, b.dataDoneAt, evStoreData)
-			if c.Probe != nil {
-				c.probeIssue(u, partStoreData)
-			}
 			if c.Recorder != nil {
 				c.recordStage(u, StageIssue, partStoreData, 0)
 			}
@@ -1038,6 +1022,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	}
 	*memPorts--
 	b := &c.a.body[u]
+	var fx eventFx
 	b.addr = c.prf.read(b.ps1) + uint64(b.inst.Imm)
 	res, val, fromSeq, sawUnknown := c.lsu.search(u)
 	if res == fwdNone && sawUnknown && c.mdp.mustWait(b.pc, c.cycle) {
@@ -1061,6 +1046,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		c.a.doneAt[u] = c.cycle + c.cfg.ExecDelay + c.cfg.AGULat + c.cfg.FwdLat
 		b.hitL1 = true
 	case fwdNone:
+		fx = fxCacheAccess
 		at := c.cycle + c.cfg.ExecDelay + c.cfg.AGULat
 		if !b.nonSpec && c.sch.delaysSpecMiss() {
 			if _, hit := c.hier.Peek(b.addr, at); !hit {
@@ -1094,9 +1080,6 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 				c.Stats.SpecBufPeak = n
 			}
 			c.Stats.InvisibleLoads++
-			if c.Probe != nil {
-				c.probeCacheAccess(u, at, CacheAccessInvisible, hit)
-			}
 			break
 		}
 		done, hit, ok := c.hier.Load(b.pc, b.addr, at)
@@ -1108,9 +1091,6 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		b.result = c.main.Read(b.addr)
 		c.a.doneAt[u] = done
 		b.hitL1 = hit
-		if c.Probe != nil {
-			c.probeCacheAccess(u, at, CacheAccessDemand, hit)
-		}
 	}
 	c.Stats.IssuedUops++
 	if !b.nonSpec {
@@ -1118,14 +1098,9 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 	}
 	if b.pd != noReg && c.sch.specWakeup(c.cfg.SpecWakeup) {
 		c.prf.announce(b.pd, c.a.doneAt[u])
-		if c.Probe != nil {
-			c.probeBroadcast(u, c.a.doneAt[u], !b.nonSpec, false)
-		}
+		fx |= fxBroadcast
 	}
 	c.schedule(u, c.a.doneAt[u], evDone)
-	if c.Probe != nil {
-		c.probeIssue(u, partWhole)
-	}
 	if c.Recorder != nil {
 		var an TraceAnnot
 		if b.hitL1 {
@@ -1134,7 +1109,7 @@ func (c *Core) issueLoad(u int32, slots, memPorts *int) bool {
 		if b.invisible {
 			an |= AnnotInvisible
 		}
-		c.recordStage(u, StageIssue, partWhole, an)
+		c.recordEvent(u, c.cycle, StageIssue, partWhole, an, fx)
 	}
 	return true
 }
@@ -1223,9 +1198,6 @@ func (c *Core) issueSimple(u int32, cls isa.Class, slots, aluUnits, mulUnits *in
 	}
 	c.Stats.IssuedUops++
 	c.schedule(u, doneAt, evDone)
-	if c.Probe != nil {
-		c.probeIssue(u, partWhole)
-	}
 	if c.Recorder != nil {
 		c.recordStage(u, StageIssue, partWhole, 0)
 	}
@@ -1369,7 +1341,7 @@ func (c *Core) renameStage() {
 			// The fetch record is stamped retroactively: the fetch entry's
 			// readyAt is its fetch cycle plus the front-end depth, and the
 			// front end itself knows no sequence numbers.
-			c.recordStageAt(u, e.readyAt-c.cfg.FrontendDelay, StageFetch, partWhole, 0)
+			c.recordEvent(u, e.readyAt-c.cfg.FrontendDelay, StageFetch, partWhole, 0, 0)
 			c.recordStage(u, StageRename, partWhole, 0)
 		}
 	}

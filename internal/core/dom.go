@@ -20,9 +20,10 @@ package core
 // the access is allowed to touch the hierarchy, so a delayed miss leaves
 // no trace: no MSHR, no fill, no LRU movement, no prefetcher training.
 //
-// The Probe invariant the differential oracle asserts (internal/diffsim):
-// under DoM no speculative load ever occupies an MSHR past the L1 — every
-// speculative cache access it observes must be an L1 hit.
+// The security invariant the differential oracle asserts over Recorder
+// events (internal/diffsim): under DoM no speculative load ever occupies
+// an MSHR past the L1 — every speculative cache access it observes must
+// be an L1 hit.
 //
 // Idle-skip contract (core.Run): a parked load is invisible to time —
 // retryAt is neverRetry while it waits, so nextWake never wakes for it,

@@ -38,19 +38,18 @@ func shadowedMissProgram(warm bool) *isa.Program {
 	return b.MustBuild()
 }
 
-// issueCycleProbe records the first issue cycle of one PC.
-type issueCycleProbe struct {
+// issueCycleRecorder records the first issue cycle of one PC.
+type issueCycleRecorder struct {
 	pc    uint64
 	cycle uint64
 }
 
-func (p *issueCycleProbe) OnIssue(ev IssueEvent) {
-	if ev.PC == p.pc && p.cycle == 0 {
-		p.cycle = ev.Cycle
+func (r *issueCycleRecorder) OnStage(ev StageEvent) {
+	issued := ev.Stage == StageIssue && ev.Annot&(AnnotDoMParked|AnnotSTTNopped) == 0
+	if issued && ev.PC == r.pc && r.cycle == 0 {
+		r.cycle = ev.Cycle
 	}
 }
-func (p *issueCycleProbe) OnLoadBroadcast(BroadcastEvent) {}
-func (p *issueCycleProbe) OnCacheAccess(CacheAccessEvent) {}
 
 // pcOf returns the PC of the first instruction matching op and rd.
 func pcOf(t *testing.T, prog *isa.Program, op isa.Op, rd isa.Reg) uint64 {
@@ -70,8 +69,8 @@ func runShadowed(t *testing.T, kind SchemeKind, warm bool) (addIssue, cycles uin
 	t.Helper()
 	prog := shadowedMissProgram(warm)
 	c := MustNew(MegaConfig(), kind, prog)
-	probe := &issueCycleProbe{pc: pcOf(t, prog, isa.Add, isa.X7)}
-	c.Probe = probe
+	rec := &issueCycleRecorder{pc: pcOf(t, prog, isa.Add, isa.X7)}
+	c.Recorder = rec
 	res, err := c.Run(RunLimits{MaxCycles: 10_000})
 	if err != nil {
 		t.Fatalf("%s: %v", kind, err)
@@ -82,7 +81,7 @@ func runShadowed(t *testing.T, kind SchemeKind, warm bool) (addIssue, cycles uin
 	if got := c.ArchReg(isa.X7); got != 42 {
 		t.Fatalf("%s: x7 = %d, want 42", kind, got)
 	}
-	return probe.cycle, res.Cycles, res.Stats
+	return rec.cycle, res.Cycles, res.Stats
 }
 
 // TestDoMDelayAccounting pins Delay-on-Miss cycle accounting on the

@@ -21,10 +21,10 @@ package core
 // which is exactly why the scheme blocks Spectre: the transient
 // transmitter's line is never installed.
 //
-// The Probe invariants the differential oracle asserts (internal/diffsim):
-// every cache access by a speculative load is an invisible-buffer access
-// (never a demand access, never an MSHR), and exposures happen only at or
-// after the visibility point.
+// The security invariants the differential oracle asserts over Recorder
+// events (internal/diffsim): every cache access by a speculative load is
+// an invisible-buffer access (never a demand access, never an MSHR), and
+// exposures happen only at or after the visibility point.
 //
 // Idle-skip contract (core.Run): an exposed ROB-head load waiting out its
 // exposure latency contributes exposeDoneAt as a nextWake candidate, and

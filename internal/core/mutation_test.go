@@ -1,5 +1,6 @@
-// Mutation tests for the differential oracle's DoM and InvisiSpec Probe
-// invariants: sabotage the one mechanism each scheme's security argument
+// Mutation tests for the differential oracle's security invariants (STT,
+// NDA, DoM and InvisiSpec): sabotage the one mechanism each scheme's
+// security argument
 // rests on and assert the oracle CATCHES it. Without these, a silently
 // broken invariant hook would let a regressed scheme sail through the
 // corpus. The file lives in the external core_test package so it can drive
@@ -17,7 +18,7 @@ import (
 
 // mutationCase is a corpus case rich in shadowed speculative loads
 // (pointer chases and indirect loads under data-dependent branches), so
-// both sabotages are exercised on it. Pinned so the test is deterministic;
+// every sabotage is exercised on it. Pinned so the test is deterministic;
 // TestMutationCaseIsSound guards against the case going stale.
 var mutationCase = diffsim.Case{Seed: 9, Mask: diffsim.FeatAll}
 
@@ -25,11 +26,11 @@ var mutationCase = diffsim.Case{Seed: 9, Mask: diffsim.FeatAll}
 // the pinned case runs on the same core a real campaign would use.
 func mutationConfig() core.Config { return diffsim.ConfigForCase(mutationCase) }
 
-// TestMutationCaseIsSound: the pinned case passes the full oracle for both
-// schemes when nothing is sabotaged — the mutation tests below fail it
-// through the sabotage alone.
+// TestMutationCaseIsSound: the pinned case passes the full oracle for
+// every sabotaged scheme when nothing is sabotaged — the mutation tests
+// below fail it through the sabotage alone.
 func TestMutationCaseIsSound(t *testing.T) {
-	kinds := []core.SchemeKind{core.KindDoM, core.KindInvisiSpec}
+	kinds := []core.SchemeKind{core.KindSTTRename, core.KindSTTIssue, core.KindNDA, core.KindDoM, core.KindInvisiSpec}
 	if err := diffsim.CheckCase(mutationConfig(), kinds, mutationCase); err != nil {
 		t.Fatal(err)
 	}
@@ -70,4 +71,27 @@ func TestOracleCatchesDisabledInvisiBuffer(t *testing.T) {
 	defer restore()
 	err := diffsim.CheckCase(mutationConfig(), []core.SchemeKind{core.KindInvisiSpec}, mutationCase)
 	wantInvariantViolation(t, err, "before exposure")
+}
+
+// TestOracleCatchesDisabledNDADelay: with the withheld broadcast
+// disabled, nda wakes a speculative load's dependents at writeback; the
+// mutation is timing-only, so ONLY the no-speculative-broadcast invariant
+// can catch it — and must.
+func TestOracleCatchesDisabledNDADelay(t *testing.T) {
+	restore := core.SetNDADelayDisabledForTest(true)
+	defer restore()
+	err := diffsim.CheckCase(mutationConfig(), []core.SchemeKind{core.KindNDA}, mutationCase)
+	wantInvariantViolation(t, err, "speculative load broadcast released")
+}
+
+// TestOracleCatchesDisabledSTTVeto: with the taint veto disabled, both STT
+// variants issue transmitters whose operands are still tainted; the
+// no-tainted-transmitter invariant must flag each.
+func TestOracleCatchesDisabledSTTVeto(t *testing.T) {
+	restore := core.SetSTTVetoDisabledForTest(true)
+	defer restore()
+	for _, kind := range []core.SchemeKind{core.KindSTTRename, core.KindSTTIssue} {
+		err := diffsim.CheckCase(mutationConfig(), []core.SchemeKind{kind}, mutationCase)
+		wantInvariantViolation(t, err, "tainted transmitter issued")
+	}
 }

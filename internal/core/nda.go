@@ -12,6 +12,13 @@ package core
 // register there.
 type nda struct{}
 
+// ndaDelayDisabled is a fault-injection switch for the differential
+// oracle's mutation tests (internal/core/mutation_test.go): with the
+// broadcast delay disabled NDA releases a speculative load's ready
+// broadcast at writeback, and the oracle's no-speculative-broadcast
+// invariant must catch it. Never set outside tests.
+var ndaDelayDisabled bool
+
 func init() {
 	RegisterScheme(SchemeSpec{
 		Kind:   KindNDA,
@@ -30,7 +37,7 @@ func (nda) restoreCheckpoint(int)           {}
 func (nda) fullFlush()                      {}
 func (nda) canSelect(int32, issuePart) bool { return true }
 func (nda) onIssue(int32, issuePart) bool   { return true }
-func (nda) delaysLoadBroadcast() bool       { return true }
+func (nda) delaysLoadBroadcast() bool       { return !ndaDelayDisabled }
 func (nda) specWakeup(bool) bool            { return false }
 func (nda) delaysSpecMiss() bool            { return false }
 func (nda) invisibleSpecLoads() bool        { return false }

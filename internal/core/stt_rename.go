@@ -28,6 +28,14 @@ type sttRename struct {
 	chainDepth [isa.NumRegs]int
 }
 
+// sttVetoDisabled is a fault-injection switch for the differential
+// oracle's mutation tests (internal/core/mutation_test.go): with the taint
+// veto disabled both STT variants issue tainted transmitters — STT-Rename
+// stops masking them before selection, STT-Issue stops replacing them
+// with nops — and the oracle's no-tainted-transmitter invariant must
+// catch it. Never set outside tests.
+var sttVetoDisabled bool
+
 func init() {
 	RegisterScheme(SchemeSpec{
 		Kind:   KindSTTRename,
@@ -136,7 +144,7 @@ func (s *sttRename) partYRoT(u int32, part issuePart) int64 {
 }
 
 func (s *sttRename) canSelect(u int32, part issuePart) bool {
-	if !s.c.a.transmitterPart(u, part) {
+	if sttVetoDisabled || !s.c.a.transmitterPart(u, part) {
 		return true
 	}
 	y := s.partYRoT(u, part)
@@ -149,9 +157,10 @@ func (s *sttRename) canSelect(u int32, part issuePart) bool {
 
 func (s *sttRename) onIssue(int32, issuePart) bool { return true }
 
-// taintedPart is the probe's read-only taint view (see probe.go): whether
-// the part's governing YRoT is still beyond the frontier rename-stage
-// state can see — exactly the condition canSelect blocks transmitters on.
+// taintedPart is the read-only taint view behind StageEvent.Tainted:
+// whether the part's governing YRoT is still beyond the frontier
+// rename-stage state can see — exactly the condition canSelect blocks
+// transmitters on.
 func (s *sttRename) taintedPart(u int32, part issuePart) bool {
 	y := s.partYRoT(u, part)
 	return y != noYRoT && y > s.c.prevSafeSeq

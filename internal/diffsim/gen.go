@@ -9,9 +9,10 @@
 // and to an in-order reference. The oracle machine-checks that claim over
 // generated programs — committed-instruction-stream equality, final
 // register and memory equality, liveness within a cycle bound — and,
-// through the core's observational Probe hooks, the security invariants
+// through the core's observational Recorder hook, the security invariants
 // themselves: STT never issues a tainted transmitter while its taint root
-// is unresolved, and NDA never broadcasts a speculative load's data.
+// is unresolved, NDA never broadcasts a speculative load's data, and DoM
+// and InvisiSpec never let a speculative load leave a cache side effect.
 //
 // Every case is a reproducible (seed, feature-mask) pair. Any failure
 // message embeds the exact `shadowbinding -fuzz-seed N -fuzz-mask M`

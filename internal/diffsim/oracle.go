@@ -66,9 +66,9 @@ func caseErr(c Case, cfg core.Config, kind core.SchemeKind, format string, args 
 		c, cfg.Name, kind, fmt.Sprintf(format, args...), c.ReplayCommand())
 }
 
-// invariantProbe collects security-invariant violations through the
-// core's observational Probe hooks.
-type invariantProbe struct {
+// invariantRecorder collects security-invariant violations through the
+// core's observational Recorder hook.
+type invariantRecorder struct {
 	taintTracking bool // STT: a tainted transmitter must never issue
 	delayedNDA    bool // NDA: a speculative load broadcast must never release
 	noSpecMSHR    bool // DoM/InvisiSpec: no speculative load occupies an MSHR
@@ -76,10 +76,11 @@ type invariantProbe struct {
 	violations    []string
 }
 
-// newInvariantProbe maps a scheme to the invariants the oracle asserts on
-// it — each scheme's one-line security argument, stated over Probe events.
-func newInvariantProbe(kind core.SchemeKind) *invariantProbe {
-	return &invariantProbe{
+// newInvariantRecorder maps a scheme to the invariants the oracle asserts
+// on it — each scheme's one-line security argument, stated over the
+// invariant fields of core.StageEvent.
+func newInvariantRecorder(kind core.SchemeKind) *invariantRecorder {
+	return &invariantRecorder{
 		taintTracking: kind == core.KindSTTRename || kind == core.KindSTTIssue,
 		delayedNDA:    kind == core.KindNDA,
 		noSpecMSHR:    kind == core.KindDoM || kind == core.KindInvisiSpec,
@@ -87,37 +88,35 @@ func newInvariantProbe(kind core.SchemeKind) *invariantProbe {
 	}
 }
 
-func (p *invariantProbe) violatef(format string, args ...any) {
-	if len(p.violations) < 8 {
-		p.violations = append(p.violations, fmt.Sprintf(format, args...))
+func (r *invariantRecorder) violatef(format string, args ...any) {
+	if len(r.violations) < 8 {
+		r.violations = append(r.violations, fmt.Sprintf(format, args...))
 	}
 }
 
-func (p *invariantProbe) OnIssue(ev core.IssueEvent) {
-	if p.taintTracking && ev.Transmitter && ev.Tainted {
-		p.violatef("cycle %d: tainted transmitter issued (pc %d, %v, seq %d, part %d)",
+func (r *invariantRecorder) OnStage(ev core.StageEvent) {
+	if r.taintTracking && ev.Transmitter && ev.Tainted {
+		r.violatef("cycle %d: tainted transmitter issued (pc %d, %v, seq %d, part %d)",
 			ev.Cycle, ev.PC, ev.Op, ev.Seq, ev.Part)
 	}
-}
-
-func (p *invariantProbe) OnLoadBroadcast(ev core.BroadcastEvent) {
-	if p.delayedNDA && ev.Speculative {
-		p.violatef("cycle %d: speculative load broadcast released (pc %d, seq %d, delayed=%v)",
-			ev.Cycle, ev.PC, ev.Seq, ev.Delayed)
+	if r.delayedNDA && ev.Broadcast && ev.Speculative {
+		r.violatef("cycle %d: speculative load broadcast released (pc %d, seq %d, stage %v)",
+			ev.Cycle, ev.PC, ev.Seq, ev.Stage)
 	}
-}
-
-func (p *invariantProbe) OnCacheAccess(ev core.CacheAccessEvent) {
+	if !ev.CacheAccess || !ev.Speculative {
+		return
+	}
 	// The invisible-only invariant is the stricter of the two (it fires on
 	// speculative hits too), so it is checked first: an InvisiSpec failure
 	// reports its own argument, not the weaker MSHR consequence.
-	if p.invisibleOnly && ev.Speculative && ev.Kind != core.CacheAccessInvisible {
-		p.violatef("cycle %d: speculative load reached the cache side-effect path before exposure (pc %d, seq %d, addr %#x, kind %d)",
-			ev.Cycle, ev.PC, ev.Seq, ev.Addr, ev.Kind)
+	invisible := ev.Annot&core.AnnotInvisible != 0
+	if r.invisibleOnly && !invisible {
+		r.violatef("cycle %d: speculative load reached the cache side-effect path before exposure (pc %d, seq %d, addr %#x, stage %v)",
+			ev.Cycle, ev.PC, ev.Seq, ev.Addr, ev.Stage)
 		return
 	}
-	if p.noSpecMSHR && ev.Speculative && ev.MSHR {
-		p.violatef("cycle %d: speculative load occupied an MSHR past the L1 (pc %d, seq %d, addr %#x)",
+	if r.noSpecMSHR && !invisible && ev.Annot&core.AnnotL1Hit == 0 {
+		r.violatef("cycle %d: speculative load occupied an MSHR past the L1 (pc %d, seq %d, addr %#x)",
 			ev.Cycle, ev.PC, ev.Seq, ev.Addr)
 	}
 }
@@ -142,7 +141,7 @@ func reference(c Case, prog *isa.Program) ([]isa.Commit, *isa.ArchSim, error) {
 // against the in-order reference on cfg: committed-instruction-stream
 // equality, final architectural register and memory equality, liveness
 // within a cycle bound, and the schemes' security invariants via the
-// probe hooks. The first failure is returned, tagged with the case's
+// recorder hook. The first failure is returned, tagged with the case's
 // replay command.
 func CheckCase(cfg core.Config, kinds []core.SchemeKind, c Case) error {
 	prog := Generate(c)
@@ -174,8 +173,8 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 	if err != nil {
 		return caseErr(cs, cfg, kind, "core.New: %v", err)
 	}
-	probe := newInvariantProbe(kind)
-	c.Probe = probe
+	inv := newInvariantRecorder(kind)
+	c.Recorder = inv
 
 	var got []isa.Commit
 	divergence := -1
@@ -232,10 +231,10 @@ func checkScheme(cfg core.Config, kind core.SchemeKind, cs Case, prog *isa.Progr
 		}
 	}
 
-	// Security invariants observed by the probe.
-	if len(probe.violations) > 0 {
+	// Security invariants observed by the recorder.
+	if len(inv.violations) > 0 {
 		return caseErr(cs, cfg, kind, "security invariant violated:\n  %s",
-			probe.violations[0])
+			inv.violations[0])
 	}
 	return nil
 }

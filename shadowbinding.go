@@ -125,15 +125,6 @@ type (
 	FarmServerConfig = farm.ServerConfig
 	// FarmStats is the farm server's counter snapshot.
 	FarmStats = farm.Stats
-	// HTTPCache is a CellCache speaking the farm protocol — the client
-	// side of -remote. It also implements harness.CellResolver (compute
-	// mode asks the farm to simulate a missing cell) and
-	// harness.ExperimentResolver (a whole matrix becomes one streaming
-	// request).
-	HTTPCache = farm.HTTPCache
-	// HTTPCacheOptions parameterizes NewHTTPCache (timeouts, retries,
-	// backoff, compute mode, breaker).
-	HTTPCacheOptions = farm.HTTPCacheOptions
 	// StreamClient consumes the farm's experiment stream endpoint
 	// directly — OpenCache with RemoteCompute uses it under the hood.
 	StreamClient = farm.StreamClient
@@ -164,8 +155,7 @@ type CacheOptions struct {
 // OpenCache assembles the standard cell-cache stack from options: an
 // in-memory LRU, over an on-disk store when Dir is set, over a farm client
 // when Remote is set — fastest-first, with every hit backfilling the
-// faster layers. This is the one cache constructor; the layer-specific
-// constructors below remain as deprecated wrappers.
+// faster layers. This is the one cache constructor.
 func OpenCache(opt CacheOptions) (CellCache, error) {
 	if opt.RemoteCompute && opt.Remote == "" {
 		return nil, fmt.Errorf("shadowbinding: CacheOptions.RemoteCompute needs a Remote farm URL")
@@ -189,38 +179,6 @@ func OpenCache(opt CacheOptions) (CellCache, error) {
 
 // DefaultMemoryCacheSize is the in-memory layer's default entry bound.
 const DefaultMemoryCacheSize = harness.DefaultMemoryCacheSize
-
-// OpenCellCache builds the memory(+disk) cache stack.
-//
-// Deprecated: Use OpenCache(CacheOptions{Dir: dir}).
-func OpenCellCache(dir string) (CellCache, error) { return harness.OpenCellCache(dir) }
-
-// NewMemoryCache returns a bounded in-memory LRU cell store.
-//
-// Deprecated: Use OpenCache; the zero CacheOptions gives exactly this
-// layer. Compose layers manually only for custom CellCache implementations.
-func NewMemoryCache(capacity int) CellCache { return harness.NewMemoryCache(capacity) }
-
-// NewDiskCache opens an on-disk JSON cell store.
-//
-// Deprecated: Use OpenCache(CacheOptions{Dir: dir}), which layers the
-// standard in-memory LRU on top.
-func NewDiskCache(dir string) (CellCache, error) { return harness.NewDiskCache(dir) }
-
-// NewTieredCache layers cell caches fastest-first.
-//
-// Deprecated: Use OpenCache for the standard stacks; compose manually only
-// for custom CellCache implementations.
-func NewTieredCache(layers ...CellCache) CellCache { return harness.NewTieredCache(layers...) }
-
-// NewHTTPCache returns a farm-backed cell cache for a daemon's base URL.
-//
-// Deprecated: Use OpenCache(CacheOptions{Remote: url, RemoteCompute: ...}),
-// which layers it under the standard local stack; construct directly only
-// to tune HTTPCacheOptions.
-func NewHTTPCache(baseURL string, opt HTTPCacheOptions) *HTTPCache {
-	return farm.NewHTTPCache(baseURL, opt)
-}
 
 // ErrStreamTruncated marks an experiment stream that died before its
 // trailer; errors.Is against a StreamClient failure detects it.
