@@ -13,8 +13,8 @@
 //	shadowbindingd -addr :8485 -cache /var/cache/farm-w1   # a worker
 //
 // Protocol (see internal/farm): GET/PUT /v1/cells/{key} for the remote
-// cache, POST /v1/cells for compute-on-miss, POST /v1/experiments for a
-// streamed whole experiment, GET /v1/stats for counters. Workers are
+// cache, POST /v1/experiments for a streamed experiment (a single cell is
+// an experiment of one), GET /v1/stats for counters. Workers are
 // rendezvous-hashed and health-probed; a dead worker's keys re-shard to
 // the survivors.
 package main

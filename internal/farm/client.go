@@ -16,14 +16,12 @@ import (
 
 // The farm client. HTTPCache implements harness.CellCache over the farm
 // protocol, so `-remote URL` slots a shared fleet-wide store under any
-// cmd's local cache stack. It also implements harness.CellResolver: in
-// compute mode a miss becomes a POST that asks the farm to simulate the
-// cell — and harness.ExperimentResolver: a whole matrix becomes ONE
-// streaming POST /v1/experiments (ResolveExperiment), with the per-cell
-// path as the fallback for whatever a broken stream failed to deliver.
-// Per the CellCache contract every failure is a miss (plus an error for
-// the engine to report), never a failed run — and a breaker stops
-// re-dialing a dead farm on every cell.
+// cmd's local cache stack. In compute mode it also implements
+// harness.Resolver: a whole matrix becomes ONE streaming POST
+// /v1/experiments, and a single missing cell is the same request for an
+// experiment of one. Per the CellCache contract every failure is a miss
+// (plus an error for the engine to report), never a failed run — and a
+// breaker stops re-dialing a dead farm on every cell.
 
 // HTTPCacheOptions parameterizes NewHTTPCache. The zero value is usable.
 type HTTPCacheOptions struct {
@@ -36,8 +34,9 @@ type HTTPCacheOptions struct {
 	// Backoff is the delay before the first retry, doubled per retry
 	// (zero: 100ms).
 	Backoff time.Duration
-	// Compute asks the farm to simulate missing cells (POST compute-on-
-	// miss) instead of reporting a miss and simulating locally.
+	// Compute asks the farm to simulate missing cells (streamed
+	// experiments, whole or of one cell) instead of reporting a miss and
+	// simulating locally.
 	Compute bool
 	// BreakerTrips is the number of consecutive transport-level failures
 	// after which the cache reports every call as an immediate miss for
@@ -51,8 +50,8 @@ type HTTPCacheOptions struct {
 	Client *http.Client
 }
 
-// HTTPCache is a harness.CellCache (and CellResolver) speaking the farm
-// protocol against one base URL.
+// HTTPCache is a harness.CellCache (and harness.Resolver) speaking the
+// farm protocol against one base URL.
 type HTTPCache struct {
 	base string
 	opt  HTTPCacheOptions
@@ -112,7 +111,7 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 		run harness.Run
 		ok  bool
 	)
-	err := c.retry(func(ctx context.Context) error {
+	err := c.retry(context.TODO(), func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+CellsPath+"/"+key, nil)
 		if err != nil {
 			return fmt.Errorf("farm: build get: %w", err)
@@ -154,7 +153,7 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 		return fmt.Errorf("farm: marshal cell %s: %w", key, err)
 	}
 	payload, encoding := maybeGzip(body)
-	return c.retry(func(ctx context.Context) error {
+	return c.retry(context.TODO(), func(ctx context.Context) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.base+CellsPath+"/"+key, bytes.NewReader(payload))
 		if err != nil {
 			return fmt.Errorf("farm: build put: %w", err)
@@ -175,78 +174,21 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 	})
 }
 
-// ResolveCell implements harness.CellResolver: in compute mode a lookup
-// POSTs the full job so the farm resolves it (its cache, fleet-wide
-// single-flight, workers); otherwise it is a plain Get. Either way a
-// failure is a miss and the engine simulates locally.
-func (c *HTTPCache) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
-	if !c.opt.Compute {
-		return c.Get(key)
-	}
-	wire := harness.WireJob(job, opts)
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return harness.Run{}, false, fmt.Errorf("farm: marshal job: %w", err)
-	}
-	payload, encoding := maybeGzip(body)
-	var run harness.Run
-	var ok bool
-	err = c.retry(func(ctx context.Context) error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+CellsPath, bytes.NewReader(payload))
-		if err != nil {
-			return fmt.Errorf("farm: build compute: %w", err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if encoding != "" {
-			req.Header.Set("Content-Encoding", encoding)
-		}
-		req.Header.Set("Accept-Encoding", "gzip")
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return transient("farm: compute %s: %w", key, err)
-		}
-		defer drainClose(resp.Body)
-		switch {
-		case resp.StatusCode == http.StatusBadRequest:
-			// The farm rejected the job itself (scheme roster or version
-			// skew): retrying cannot help, simulate locally.
-			return fmt.Errorf("farm: compute %s rejected: %s", key, resp.Status)
-		case resp.StatusCode != http.StatusOK:
-			return transient("farm: compute %s: %s", key, resp.Status)
-		}
-		rd, err := maybeGunzip(resp)
-		if err != nil {
-			return &transientError{err: err}
-		}
-		env, err := decodeEnvelope(rd, key)
-		if err != nil {
-			return &transientError{err: err}
-		}
-		run, ok = env.Run, true
-		return nil
-	})
-	if err != nil {
-		return harness.Run{}, false, err
-	}
-	return run, ok, nil
-}
-
-// ResolveExperiment implements harness.ExperimentResolver: in compute
-// mode, one POST /v1/experiments asks the farm to resolve the whole spec,
-// and every validated streamed cell is handed to deliver as it arrives —
-// under a TieredCache that backfills the faster local layers, so the
-// per-cell resolution that follows is all local hits and a cold remote
-// experiment costs exactly one request. Streamed keys are checked against
-// the locally derived key set (the stream counterpart of ResolveCell's
-// key validation). Without Compute the farm cannot be asked to simulate,
-// so the cache reports a clean no-op; every failure is returned for the
-// engine to degrade to per-cell resolution.
-func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
+// Resolve implements harness.Resolver: in compute mode, one POST
+// /v1/experiments asks the farm to resolve the whole spec, and every
+// validated streamed cell is handed to deliver as it arrives — under a
+// TieredCache that backfills the faster local layers, so the per-cell
+// resolution that follows is all local hits and a cold remote experiment
+// costs exactly one request. Streamed keys are checked against the
+// locally derived key set. A whole experiment is bounded only by ctx (it
+// legitimately lasts as long as the farm simulates); a one-cell spec is a
+// request like Get — bounded per attempt by Timeout and retried on
+// transient failures. Without Compute the farm cannot be asked to
+// simulate, so the cache reports a clean no-op; every failure is returned
+// for the engine to degrade to per-cell or local resolution.
+func (c *HTTPCache) Resolve(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
 	if !c.opt.Compute {
 		return 0, nil
-	}
-	if err := c.breakerCheck(); err != nil {
-		return 0, err
 	}
 	wire := harness.WireExperiment(spec, opts)
 	jobs, wopts, err := wire.Resolve()
@@ -257,17 +199,35 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 	for _, j := range jobs {
 		expect[harness.CellKey(j, wopts)] = true
 	}
-	n, err := NewStreamClient(c.base, c.hc).Experiment(ctx, wire, func(env CellEnvelope) error {
-		if !expect[env.Key] {
-			return &StreamError{Reason: "protocol",
-				Err: fmt.Errorf("farm: streamed key %s is not in experiment %q (version skew?)", env.Key, spec.Name)}
+	stream := func(ctx context.Context) (int, error) {
+		return NewStreamClient(c.base, c.hc).Experiment(ctx, wire, func(env CellEnvelope) error {
+			if !expect[env.Key] {
+				return &StreamError{Reason: "protocol",
+					Err: fmt.Errorf("farm: streamed key %s is not in experiment %q (version skew?)", env.Key, spec.Name)}
+			}
+			if deliver != nil {
+				deliver(env.Key, env.Run)
+			}
+			return nil
+		})
+	}
+	if len(jobs) > 1 {
+		if err := c.breakerCheck(); err != nil {
+			return 0, err
 		}
-		if deliver != nil {
-			deliver(env.Key, env.Run)
+		n, err := stream(ctx)
+		c.breakerReport(err == nil)
+		return n, err
+	}
+	var n int
+	err = c.retry(ctx, func(ctx context.Context) error {
+		var err error
+		n, err = stream(ctx)
+		if err != nil && n == 0 && !rejected(err) {
+			return &transientError{err: err}
 		}
-		return nil
+		return err
 	})
-	c.breakerReport(err == nil)
 	return n, err
 }
 
@@ -275,7 +235,7 @@ func (c *HTTPCache) ResolveExperiment(ctx context.Context, spec harness.MatrixSp
 // transient failures with doubling backoff, and feeds the breaker: any
 // transient failure after the last attempt counts as a trip, any success
 // resets it.
-func (c *HTTPCache) retry(attempt func(ctx context.Context) error) error {
+func (c *HTTPCache) retry(ctx context.Context, attempt func(ctx context.Context) error) error {
 	if err := c.breakerCheck(); err != nil {
 		return err
 	}
@@ -283,7 +243,7 @@ func (c *HTTPCache) retry(attempt func(ctx context.Context) error) error {
 	var err error
 	for try := 0; ; try++ {
 		err = func() error {
-			ctx, cancel := context.WithTimeout(context.Background(), c.opt.Timeout)
+			ctx, cancel := context.WithTimeout(ctx, c.opt.Timeout)
 			defer cancel()
 			return attempt(ctx)
 		}()

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -67,6 +68,14 @@ func fastClient(url string, compute bool) *HTTPCache {
 		Backoff:      time.Millisecond,
 		BreakerTrips: -1,
 	})
+}
+
+// computeCell resolves one job through a compute-mode client as an
+// experiment of one — the request the engine makes for a lone miss.
+func computeCell(c *HTTPCache, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
+	var run harness.Run
+	n, err := c.Resolve(context.Background(), job.Spec(), opts, func(_ string, r harness.Run) { run = r })
+	return run, n == 1, err
 }
 
 // TestFarmGetPutRoundTrip: the remote cache path — a PUT cell comes back
@@ -150,9 +159,10 @@ func TestFarmPutRejectsBadEnvelopes(t *testing.T) {
 	}
 }
 
-// TestFarmComputeEndToEnd: a compute client's cold request simulates on
-// the farm and returns byte-identical results; the repeat is served from
-// the farm's cache without simulating again, and plain GETs hit too.
+// TestFarmComputeEndToEnd: a compute client's cold one-cell request
+// simulates on the farm and returns byte-identical results; the repeat is
+// served from the farm's cache without simulating again, and plain GETs
+// hit too.
 func TestFarmComputeEndToEnd(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 	opts := testOpts()
@@ -161,7 +171,7 @@ func TestFarmComputeEndToEnd(t *testing.T) {
 	ref := refRun(t, job, opts)
 
 	c := fastClient(ts.URL, true)
-	got, ok, err := c.ResolveCell(key, job, opts)
+	got, ok, err := computeCell(c, job, opts)
 	if err != nil || !ok {
 		t.Fatalf("compute: ok=%v err=%v", ok, err)
 	}
@@ -171,7 +181,7 @@ func TestFarmComputeEndToEnd(t *testing.T) {
 	if st := srv.Stats(); st.EngineSimulated != 1 {
 		t.Fatalf("farm did not simulate exactly once: %+v", st)
 	}
-	if _, ok, err := c.ResolveCell(key, job, opts); !ok || err != nil {
+	if _, ok, err := computeCell(c, job, opts); !ok || err != nil {
 		t.Fatalf("warm compute: ok=%v err=%v", ok, err)
 	}
 	if got2, ok, _ := c.Get(key); !ok || !reflect.DeepEqual(got2, ref) {
@@ -181,15 +191,27 @@ func TestFarmComputeEndToEnd(t *testing.T) {
 	if st.EngineSimulated != 1 || st.EngineHits != 1 {
 		t.Fatalf("warm compute re-simulated: %+v", st)
 	}
+
+	// The experiment route is the only compute route: POST on the cell
+	// collection is not routed.
+	resp, err := http.Post(ts.URL+CellsPath, "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainClose(resp.Body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST %s = %d, want 404", CellsPath, resp.StatusCode)
+	}
 }
 
-// TestFarmComputeRejectsBadJobs: garbage and incompatible jobs are 400s,
-// never crashes or simulations.
+// TestFarmComputeRejectsBadJobs: a garbage body or a one-cell job naming a
+// scheme this farm does not know is a 400 on the compute route, never a
+// simulation.
 func TestFarmComputeRejectsBadJobs(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 
 	post := func(body string) int {
-		resp, err := http.Post(ts.URL+CellsPath, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+ExperimentsPath, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,8 +221,8 @@ func TestFarmComputeRejectsBadJobs(t *testing.T) {
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Fatalf("garbage accepted: %d", code)
 	}
-	wire := harness.WireJob(testJob(t, "505.mcf", core.KindBaseline), testOpts())
-	wire.Scheme = "no-such-scheme"
+	wire := harness.WireExperiment(testJob(t, "505.mcf", core.KindBaseline).Spec(), testOpts())
+	wire.Schemes = []string{"no-such-scheme"}
 	body, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +241,7 @@ func TestFarmStatsEndpoint(t *testing.T) {
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindBaseline)
 	c := fastClient(ts.URL, true)
-	if _, ok, err := c.ResolveCell(keyOf(job, opts), job, opts); !ok || err != nil {
+	if _, ok, err := computeCell(c, job, opts); !ok || err != nil {
 		t.Fatalf("compute: ok=%v err=%v", ok, err)
 	}
 

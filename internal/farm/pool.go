@@ -1,9 +1,7 @@
 package farm
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -32,9 +30,10 @@ import (
 // when it answers again). A failed forward re-shards onto the remaining
 // healthy workers; only when none remain — or the failure indicts the job
 // rather than the worker — does the caller fall back to coordinator-local
-// simulation, the universal last resort. Workers are plain shadowbindingd
-// processes without -workers of their own (one forward hop — a worker
-// never re-forwards).
+// simulation, the universal last resort. A forward is a one-cell
+// experiment stream, the same request a client makes for a single cell.
+// Workers are plain shadowbindingd processes without -workers of their
+// own (one forward hop — a worker never re-forwards).
 
 // worker is one tracked worker endpoint.
 type worker struct {
@@ -55,14 +54,6 @@ type workerPool struct {
 // errNoWorkers reports an empty healthy set — the quiet path to
 // coordinator-local simulation, costing a miss rather than a warning.
 var errNoWorkers = errors.New("farm: no healthy workers")
-
-// permanentError marks a worker response that indicts the job (scheme
-// roster or version skew — a 4xx), not the worker: re-sharding cannot
-// help and the worker stays healthy.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
 
 // probeTimeout bounds one health probe; a worker that cannot answer its
 // stats endpoint this fast is not going to answer a compute request.
@@ -200,10 +191,11 @@ func (p *workerPool) pick(key string, exclude map[string]bool) string {
 // the surviving healthy workers as failures mark workers dead. Returns
 // the worker that answered. errNoWorkers (empty healthy set, nothing
 // attempted) is the quiet miss that sends the caller to local
-// simulation; a permanent rejection (the job, not the worker) or an
-// exhausted healthy set after failures surfaces the last error for the
+// simulation; a worker's 4xx (the job, not the worker — see rejected) or
+// an exhausted healthy set after failures surfaces the last error for the
 // caller to report before falling back.
-func (p *workerPool) compute(key string, wire harness.CellJobWire) (harness.CellResult, string, error) {
+func (p *workerPool) compute(ctx context.Context, key string, job harness.CellJob, opts harness.Options) (CellEnvelope, string, error) {
+	wire := harness.WireExperiment(job.Spec(), opts)
 	tried := make(map[string]bool)
 	var lastErr error
 	var lastWorker string
@@ -211,17 +203,13 @@ func (p *workerPool) compute(key string, wire harness.CellJobWire) (harness.Cell
 		url := p.pick(key, tried)
 		if url == "" {
 			if lastErr == nil {
-				return harness.CellResult{}, "", errNoWorkers
+				return CellEnvelope{}, "", errNoWorkers
 			}
-			return harness.CellResult{}, lastWorker, lastErr
+			return CellEnvelope{}, lastWorker, lastErr
 		}
-		env, err := postCompute(p.client, url, key, wire, p.timeout)
-		if err == nil {
-			return harness.CellResult{Key: key, Run: env.Run, Cached: env.Cached}, url, nil
-		}
-		var perm *permanentError
-		if errors.As(err, &perm) {
-			return harness.CellResult{}, url, err
+		env, err := p.forward(ctx, url, key, wire)
+		if err == nil || rejected(err) {
+			return env, url, err
 		}
 		tried[url] = true
 		p.markDead(url, err)
@@ -229,42 +217,25 @@ func (p *workerPool) compute(key string, wire harness.CellJobWire) (harness.Cell
 	}
 }
 
-// postCompute POSTs one job wire form to base's compute endpoint and
-// decodes the envelope, validating it against the locally derived key —
-// a worker built from different sources derives a different key, and that
-// skew must surface as an error, not as a silently adopted result.
-func postCompute(client *http.Client, base, key string, wire harness.CellJobWire, timeout time.Duration) (CellEnvelope, error) {
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: marshal job: %w", err)
-	}
-	payload, encoding := maybeGzip(body)
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// forward streams one cell from a worker as an experiment of one, bounded
+// by the pool's timeout, and checks the streamed key against the locally
+// derived one — a worker built from different sources derives a different
+// key, and that skew must surface as an error, not as a silently adopted
+// result.
+func (p *workerPool) forward(ctx context.Context, base, key string, wire harness.ExperimentJobWire) (CellEnvelope, error) {
+	ctx, cancel := context.WithTimeout(ctx, p.timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+CellsPath, bytes.NewReader(payload))
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: build compute request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if encoding != "" {
-		req.Header.Set("Content-Encoding", encoding)
-	}
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := client.Do(req)
-	if err != nil {
-		return CellEnvelope{}, fmt.Errorf("farm: compute %s: %w", key, err)
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("farm: compute %s: %s", key, resp.Status)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return CellEnvelope{}, &permanentError{err: err}
+	var env CellEnvelope
+	n, err := NewStreamClient(base, p.client).Experiment(ctx, wire, func(got CellEnvelope) error {
+		if got.Key != key {
+			return &StreamError{Reason: "protocol",
+				Err: fmt.Errorf("farm: worker streamed key %s, want %s (version skew?)", got.Key, key)}
 		}
-		return CellEnvelope{}, err
+		env = got
+		return nil
+	})
+	if err == nil && n != 1 {
+		err = &StreamError{Reason: "protocol", Delivered: n, Err: fmt.Errorf("farm: worker streamed %d cells for one", n)}
 	}
-	rd, err := maybeGunzip(resp)
-	if err != nil {
-		return CellEnvelope{}, err
-	}
-	return decodeEnvelope(rd, key)
+	return env, err
 }

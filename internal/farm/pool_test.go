@@ -2,8 +2,11 @@ package farm
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -47,7 +50,7 @@ func TestWorkerFanOut(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				c := fastClient(tsc.URL, true)
-				run, ok, err := c.ResolveCell(keys[i], jobs[i], opts)
+				run, ok, err := computeCell(c, jobs[i], opts)
 				if err != nil || !ok {
 					errs <- fmt.Errorf("cell %s: ok=%v err=%v", keys[i], ok, err)
 					return
@@ -94,11 +97,10 @@ func TestWorkerFailureFallsBackLocal(t *testing.T) {
 	})
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindSTTIssue)
-	key := keyOf(job, opts)
 	ref := refRun(t, job, opts)
 
 	c := fastClient(tsc.URL, true)
-	run, ok, err := c.ResolveCell(key, job, opts)
+	run, ok, err := computeCell(c, job, opts)
 	if err != nil || !ok {
 		t.Fatalf("compute with dead worker: ok=%v err=%v", ok, err)
 	}
@@ -111,6 +113,71 @@ func TestWorkerFailureFallsBackLocal(t *testing.T) {
 	}
 	if st.EngineSimulated != 1 {
 		t.Fatalf("coordinator did not fall back to local simulation: %+v", st)
+	}
+}
+
+// TestWorkerRejectionIsPermanent: a worker's 4xx indicts the job, not the
+// worker — the coordinator records one worker error, keeps the worker
+// healthy, never re-shards the cell onto the other worker, and simulates
+// it locally exactly once.
+func TestWorkerRejectionIsPermanent(t *testing.T) {
+	var rejects, spareHits atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == ExperimentsPath:
+			rejects.Add(1)
+			httpError(w, http.StatusBadRequest, "farm: rejected by the test worker")
+		case r.URL.Path == StatsPath:
+			w.WriteHeader(http.StatusOK)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(stub.Close)
+	spare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		spareHits.Add(1)
+		httpError(w, http.StatusInternalServerError, "the spare worker must never be asked")
+	}))
+	t.Cleanup(spare.Close)
+	workers := []string{stub.URL, spare.URL}
+
+	// A cell the stub owns under rendezvous hashing, so the coordinator's
+	// first forward goes to it.
+	opts := testOpts()
+	owner := newWorkerPool(workers, 0, -1, nil)
+	defer owner.Close()
+	var job harness.CellJob
+	for _, b := range []string{"505.mcf", "502.gcc", "520.omnetpp", "541.leela"} {
+		for _, k := range []core.SchemeKind{core.KindBaseline, core.KindSTTRename, core.KindNDA} {
+			if j := testJob(t, b, k); job.Bench.Name == "" && owner.pick(harness.CellKey(j, opts), nil) == stub.URL {
+				job = j
+			}
+		}
+	}
+	if job.Bench.Name == "" {
+		t.Fatal("no test cell rendezvous-hashes onto the stub worker")
+	}
+
+	// Probing off: only the forward itself may change the stub's health.
+	coord, tsc := newTestFarm(t, ServerConfig{Workers: workers, ProbeInterval: -1})
+	run, ok, err := computeCell(fastClient(tsc.URL, true), job, opts)
+	if err != nil || !ok {
+		t.Fatalf("compute with a rejecting worker: ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(run, refRun(t, job, opts)) {
+		t.Fatal("local fallback run diverges")
+	}
+	st := coord.Stats()
+	if st.WorkerErrors != 1 || st.Forwarded != 0 || st.EngineSimulated != 1 {
+		t.Fatalf("rejection accounting: %+v", st)
+	}
+	for _, w := range st.Workers {
+		if !w.Healthy {
+			t.Fatalf("worker %s marked dead by a job rejection: %+v", w.URL, st.Workers)
+		}
+	}
+	if rejects.Load() != 1 || spareHits.Load() != 0 {
+		t.Fatalf("forwards: stub %d (want 1), spare %d (want 0)", rejects.Load(), spareHits.Load())
 	}
 }
 
@@ -201,7 +268,7 @@ func TestWorkerDeathReshards(t *testing.T) {
 		for _, k := range []core.SchemeKind{core.KindBaseline, core.KindNDA} {
 			job := testJob(t, b, k)
 			key := keyOf(job, opts)
-			run, ok, err := c.ResolveCell(key, job, opts)
+			run, ok, err := computeCell(c, job, opts)
 			if err != nil || !ok {
 				t.Fatalf("cell %s: ok=%v err=%v", key, ok, err)
 			}

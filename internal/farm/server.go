@@ -2,6 +2,7 @@ package farm
 
 import (
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,7 +22,7 @@ import (
 // discarded logs.
 type ServerConfig struct {
 	// Cache backs GET/PUT and the compute engine; nil gives the server a
-	// private in-memory LRU (use harness.OpenCellCache(dir) to persist).
+	// private in-memory LRU (the facade's OpenCache with a Dir persists).
 	Cache harness.CellCache
 	// Workers lists worker base URLs ("http://host:port"); when non-empty,
 	// cold compute requests are rendezvous-sharded across the healthy
@@ -32,7 +33,7 @@ type ServerConfig struct {
 	// Cache hits, coalesced waiters, and worker forwards are never bounded
 	// by it.
 	Parallelism int
-	// WorkerTimeout bounds one forwarded compute request (zero: 5m).
+	// WorkerTimeout bounds one forwarded cell (zero: 5m).
 	WorkerTimeout time.Duration
 	// ProbeInterval is the worker health-probe cadence (zero: 2s;
 	// negative: probing disabled — passive failure detection only, so a
@@ -45,13 +46,13 @@ type ServerConfig struct {
 }
 
 // Server is the farm's HTTP service: a remote CellCache on GET/PUT, a
-// compute service on POST (single cells and streamed whole experiments),
-// and a stats endpoint. Every compute resolves through one embedded cell
-// engine whose cache stack is the local store over the worker pool — so
-// duplicate in-flight requests coalesce fleet-wide onto one resolution
-// (the engine's single-flight), forwarded results are adopted into the
-// local store by the tier walk's backfill, and local simulation is the
-// engine's miss path, bounded by its simulation gate.
+// compute service on POST (streamed experiments — a single cell is an
+// experiment of one), and a stats endpoint. Every compute resolves through
+// one embedded cell engine whose cache stack is the local store over the
+// worker pool — so duplicate in-flight requests coalesce fleet-wide onto
+// one resolution (the engine's single-flight), forwarded results are
+// adopted into the local store by the tier's backfill, and local
+// simulation is the engine's miss path, bounded by its simulation gate.
 type Server struct {
 	cache  harness.CellCache // the local store (the GET/PUT face)
 	engine *harness.Engine
@@ -149,7 +150,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+CellsPath+"/{key}", s.handleGet)
 	mux.HandleFunc("PUT "+CellsPath+"/{key}", s.handlePut)
-	mux.HandleFunc("POST "+CellsPath, s.handleCompute)
 	mux.HandleFunc("POST "+ExperimentsPath, s.handleExperiment)
 	mux.HandleFunc("GET "+StatsPath, s.handleStats)
 	return s.logged(mux)
@@ -185,29 +185,41 @@ func (w *loggingWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// poolLayer adapts the worker pool into a CellResolver cache layer — the
-// slowest tier of the coordinator engine's stack. A forward hit is a
-// cache hit whose backfill adopts the worker's result into the local
-// store; a forward failure is a miss plus an error, which the engine
-// degrades to bounded local simulation, the universal fallback.
+// poolLayer adapts the worker pool into a Resolver cache layer — the
+// slowest tier of the coordinator engine's stack. Each cell of a spec is
+// forwarded to its rendezvous owner; a delivered cell is a cache hit
+// whose backfill adopts the worker's result into the local store, and a
+// forward failure is a miss plus an error, which the engine degrades to
+// bounded local simulation, the universal fallback. Forwards outlive a
+// cancelled caller (context.WithoutCancel): a client hanging up must not
+// read as a worker failure.
 type poolLayer struct{ s *Server }
 
 func (pl *poolLayer) Get(string) (harness.Run, bool, error) { return harness.Run{}, false, nil }
 func (pl *poolLayer) Put(string, harness.Run) error         { return nil }
 
-func (pl *poolLayer) ResolveCell(key string, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
-	res, worker, err := pl.s.pool.compute(key, harness.WireJob(job, opts))
+func (pl *poolLayer) Resolve(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(string, harness.Run)) (int, error) {
+	jobs, wopts, err := harness.WireExperiment(spec, opts).Resolve()
 	if err != nil {
-		if errors.Is(err, errNoWorkers) {
-			return harness.Run{}, false, nil // quiet miss: simulate locally
-		}
-		pl.s.workerErrs.Add(1)
-		pl.s.log.Warn("worker compute failed; simulating locally", "key", key, "worker", worker, "err", err)
-		return harness.Run{}, false, err
+		return 0, err
 	}
-	pl.s.forwarded.Add(1)
-	pl.s.log.Info("forwarded", "key", key, "worker", worker, "cached", res.Cached)
-	return res.Run, true, nil
+	ctx = context.WithoutCancel(ctx)
+	for i, job := range jobs {
+		key := harness.CellKey(job, wopts)
+		env, worker, err := pl.s.pool.compute(ctx, key, job, wopts)
+		if errors.Is(err, errNoWorkers) {
+			return i, nil // quiet miss: simulate locally
+		}
+		if err != nil {
+			pl.s.workerErrs.Add(1)
+			pl.s.log.Warn("worker compute failed; simulating locally", "key", key, "worker", worker, "err", err)
+			return i, err
+		}
+		pl.s.forwarded.Add(1)
+		pl.s.log.Info("forwarded", "key", key, "worker", worker, "cached", env.Cached)
+		deliver(key, env.Run)
+	}
+	return len(jobs), nil
 }
 
 // handleGet serves one cell from the store: the remote cache read.
@@ -252,45 +264,6 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleCompute resolves a full job through the engine: local cache,
-// fleet-wide single-flight, worker forward, bounded local simulation.
-func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
-	s.computes.Add(1)
-	body, err := requestBody(w, r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	var wire harness.CellJobWire
-	if err := json.NewDecoder(body).Decode(&wire); err != nil {
-		httpError(w, http.StatusBadRequest, "farm: decode job: %v", err)
-		return
-	}
-	job, opts, err := wire.Resolve()
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	opts.Progress = s.engineLog
-	key := s.engine.Key(job, opts)
-
-	s.inFlight.Add(1)
-	res, err := s.engine.Cell(job, opts)
-	s.inFlight.Add(-1)
-	if err != nil {
-		s.log.Warn("compute failed", "key", key, "cell", cellName(job), "err", err)
-		httpError(w, http.StatusInternalServerError, "compute %s: %v", key, err)
-		return
-	}
-	s.log.Info("compute",
-		"key", key,
-		"cell", cellName(job),
-		"cached", res.Cached,
-		"cycles", res.Run.TotalCycles,
-	)
-	s.encodeJSON(w, r, newEnvelope(key, res.Run, res.Cached))
-}
-
 // handleExperiment resolves a whole experiment, streaming cells back as
 // NDJSON in completion order: one header line, one envelope per unique
 // cell the moment the engine's subscription reports it, one trailer line.
@@ -314,6 +287,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if len(jobs) == 1 {
+		s.computes.Add(1)
+	}
 	opts.Progress = s.engineLog
 	opts.Parallelism = s.experimentParallelism()
 
@@ -332,7 +308,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	total := len(unique)
 	s.log.Info("experiment", "name", wire.Name, "cells", total)
 
-	sw := newStreamWriter(w, r)
+	// A one-cell stream is about one envelope long: it ships identity,
+	// since a flate compressor held for the whole simulation costs far
+	// more memory than gzip would save on the wire.
+	sw := newStreamWriter(w, total > 1 && gzipAccepted(r.Header))
 	sw.enqueue(StreamHeader{Schema: StreamHeaderSchema, Cells: total})
 
 	// The engine broadcasts every completed cell to every subscriber;
@@ -387,11 +366,6 @@ func (s *Server) engineLog(format string, args ...any) {
 	s.log.Debug("engine", "msg", fmt.Sprintf(format, args...))
 }
 
-// cellName renders a job as the bench@config@scheme form the cmds use.
-func cellName(job harness.CellJob) string {
-	return fmt.Sprintf("%s@%s@%s", job.Bench.Name, job.Config.Name, job.Scheme)
-}
-
 // handleStats serves the counter snapshot.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.encodeJSON(w, r, s.Stats())
@@ -434,11 +408,11 @@ type streamWriter struct {
 	done   chan struct{}
 }
 
-func newStreamWriter(w http.ResponseWriter, r *http.Request) *streamWriter {
+func newStreamWriter(w http.ResponseWriter, compress bool) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	sw := &streamWriter{done: make(chan struct{})}
 	sw.cond = sync.NewCond(&sw.mu)
-	if gzipAccepted(r.Header) {
+	if compress {
 		w.Header().Set("Content-Encoding", "gzip")
 		sw.gz = gzip.NewWriter(w)
 		sw.out = sw.gz

@@ -43,7 +43,7 @@ func TestFarmConcurrencySoak(t *testing.T) {
 			// no client-side sharing to hide server races behind.
 			c := fastClient(ts.URL, true)
 			j := i % len(jobs)
-			run, ok, err := c.ResolveCell(keys[j], jobs[j], opts)
+			run, ok, err := computeCell(c, jobs[j], opts)
 			if err != nil || !ok {
 				errs <- fmt.Errorf("client %d: ok=%v err=%v", i, ok, err)
 				return

@@ -33,6 +33,7 @@ var ErrStreamTruncated = errors.New("farm: experiment stream truncated (no trail
 // validated and final; only the remainder needs per-cell resolution.
 type StreamError struct {
 	Reason    string // "transport", "server", "protocol", "truncated"
+	Status    int    // HTTP status of a "server" failure that refused the request (0 otherwise)
 	Delivered int
 	Err       error
 }
@@ -42,6 +43,14 @@ func (e *StreamError) Error() string {
 }
 
 func (e *StreamError) Unwrap() error { return e.Err }
+
+// rejected reports whether err is a farm's 4xx refusal of the request
+// itself (scheme roster or version skew): the same request fails the same
+// way everywhere, so neither retrying nor re-sharding can help.
+func rejected(err error) bool {
+	var se *StreamError
+	return errors.As(err, &se) && se.Status >= 400 && se.Status < 500
+}
 
 // StreamClient consumes the farm's experiment stream endpoint at one base
 // URL.
@@ -89,7 +98,7 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	defer drainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, &StreamError{Reason: "server",
+		return 0, &StreamError{Reason: "server", Status: resp.StatusCode,
 			Err: fmt.Errorf("farm: experiment: %s: %s", resp.Status, bytes.TrimSpace(msg))}
 	}
 	rd, err := maybeGunzip(resp)
@@ -99,7 +108,10 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	return c.consume(rd, fn)
 }
 
-// consume decodes the NDJSON stream line by line.
+// consume decodes the NDJSON stream line by line. The line order is part
+// of the contract: exactly one header first, then cells, then exactly one
+// trailer last — a cell before the header, a second header, or anything
+// after the trailer is a protocol error, never a complete stream.
 func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, error) {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 64<<10), maxBodyBytes) // per-line bound, not whole-stream
@@ -118,6 +130,14 @@ func (c *StreamClient) consume(rd io.Reader, fn func(CellEnvelope) error) (int, 
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
 			return fail("protocol", fmt.Errorf("farm: stream line: %w", err))
+		}
+		switch {
+		case sawTrailer:
+			return fail("protocol", errors.New("farm: stream line after the trailer"))
+		case probe.Schema == StreamHeaderSchema && sawHeader:
+			return fail("protocol", errors.New("farm: second stream header"))
+		case probe.Schema != StreamHeaderSchema && !sawHeader:
+			return fail("protocol", fmt.Errorf("farm: stream line schema %q before the header", probe.Schema))
 		}
 		switch probe.Schema {
 		case StreamHeaderSchema:

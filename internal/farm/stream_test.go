@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,9 +124,11 @@ func TestExperimentStreamEndToEnd(t *testing.T) {
 }
 
 // truncatingProxy forwards every route to inner, but replays only the
-// first lines NDJSON lines of an experiment stream and drops the rest —
-// the wire image of a farm that died mid-experiment.
-func truncatingProxy(t *testing.T, inner http.Handler, keepLines int) *httptest.Server {
+// first keepLines NDJSON lines of an experiment stream and drops the rest
+// — the wire image of a farm that died mid-experiment. When forget is
+// set, it is handed the key of every dropped cell, so the farm's store
+// can lose what the dead farm never got to stream.
+func truncatingProxy(t *testing.T, inner http.Handler, keepLines int, forget func(key string)) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != ExperimentsPath {
@@ -137,8 +140,15 @@ func truncatingProxy(t *testing.T, inner http.Handler, keepLines int) *httptest.
 		inner.ServeHTTP(rec, r)
 		sc := bufio.NewScanner(rec.Body)
 		sc.Buffer(make([]byte, 64<<10), maxBodyBytes)
-		for i := 0; i < keepLines && sc.Scan(); i++ {
-			fmt.Fprintf(w, "%s\n", sc.Bytes())
+		for i := 0; sc.Scan(); i++ {
+			if i < keepLines {
+				fmt.Fprintf(w, "%s\n", sc.Bytes())
+				continue
+			}
+			var env CellEnvelope
+			if forget != nil && json.Unmarshal(sc.Bytes(), &env) == nil && env.Schema == Schema {
+				forget(env.Key)
+			}
 		}
 		// Returning without the trailer ends the chunked body cleanly:
 		// the client sees EOF where the trailer should be.
@@ -147,12 +157,43 @@ func truncatingProxy(t *testing.T, inner http.Handler, keepLines int) *httptest.
 	return ts
 }
 
+// forgetfulStore is a farm store whose forgotten keys read as misses
+// until they are written again.
+type forgetfulStore struct {
+	harness.CellCache
+	mu   sync.Mutex
+	gone map[string]bool
+}
+
+func (s *forgetfulStore) Get(key string) (harness.Run, bool, error) {
+	s.mu.Lock()
+	gone := s.gone[key]
+	s.mu.Unlock()
+	if gone {
+		return harness.Run{}, false, nil
+	}
+	return s.CellCache.Get(key)
+}
+
+func (s *forgetfulStore) Put(key string, r harness.Run) error {
+	s.mu.Lock()
+	delete(s.gone, key)
+	s.mu.Unlock()
+	return s.CellCache.Put(key, r)
+}
+
+func (s *forgetfulStore) forget(key string) {
+	s.mu.Lock()
+	s.gone[key] = true
+	s.mu.Unlock()
+}
+
 // TestStreamTruncatedTyped: a stream that dies before its trailer must
 // surface as a *StreamError wrapping ErrStreamTruncated, with Delivered
 // counting the cells that did arrive (and remain valid).
 func TestStreamTruncatedTyped(t *testing.T) {
 	srv, _ := newTestFarm(t, ServerConfig{})
-	proxy := truncatingProxy(t, srv.Handler(), 2) // header + 1 cell, no trailer
+	proxy := truncatingProxy(t, srv.Handler(), 2, nil) // header + 1 cell, no trailer
 
 	spec := streamSpec(t)
 	wire := harness.WireExperiment(spec, testOpts())
@@ -171,15 +212,72 @@ func TestStreamTruncatedTyped(t *testing.T) {
 	if n != 1 || delivered != 1 || se.Delivered != 1 {
 		t.Fatalf("delivered accounting: n=%d cb=%d se=%d, want 1 each", n, delivered, se.Delivered)
 	}
+
+	// Malformed line orders: only header, cells, trailer — each header
+	// and trailer exactly once — is a complete stream; everything else is
+	// a typed failure that still counts the cells it delivered.
+	header, cell, trailer := streamLines(t)
+	for _, tc := range []struct {
+		name      string
+		lines     []string
+		reason    string
+		delivered int
+	}{
+		{"complete", []string{header, cell, trailer}, "", 1},
+		{"no trailer", []string{header, cell}, "truncated", 1},
+		{"empty", nil, "truncated", 0},
+		{"trailer before header", []string{trailer, header, cell}, "protocol", 0},
+		{"cell before header", []string{cell, header, trailer}, "protocol", 0},
+		{"second header", []string{header, cell, header, trailer}, "protocol", 1},
+		{"cell after trailer", []string{header, trailer, cell}, "protocol", 0},
+		{"header after trailer", []string{header, cell, trailer, header}, "protocol", 1},
+		{"second trailer", []string{header, cell, trailer, trailer}, "protocol", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := strings.Join(tc.lines, "\n")
+			n, err := NewStreamClient("", nil).consume(strings.NewReader(body), func(CellEnvelope) error { return nil })
+			if n != tc.delivered {
+				t.Fatalf("delivered %d cells, want %d", n, tc.delivered)
+			}
+			if tc.reason == "" {
+				if err != nil {
+					t.Fatalf("complete stream rejected: %v", err)
+				}
+				return
+			}
+			var se *StreamError
+			if !errors.As(err, &se) || se.Reason != tc.reason || se.Delivered != n {
+				t.Fatalf("error = %v, want a %q StreamError after %d cells", err, tc.reason, n)
+			}
+		})
+	}
+}
+
+// streamLines renders one valid header, cell and trailer line.
+func streamLines(t testing.TB) (header, cell, trailer string) {
+	t.Helper()
+	line := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	return line(StreamHeader{Schema: StreamHeaderSchema, Cells: 1}),
+		line(newEnvelope("k", harness.Run{Scheme: core.KindNDA}, false)),
+		line(StreamTrailer{Schema: StreamTrailerSchema, Done: 1})
 }
 
 // TestStreamDeathFallsBackPerCell: when the experiment stream dies
 // mid-flight, the session must still produce byte-identical figures — the
 // partial stream's cells are kept, and the engine's per-cell walk resolves
-// the remainder through the ordinary compute path.
+// each remaining cell as a store read and then an experiment of one. The
+// farm's store loses the cells it never streamed, as a farm that died
+// mid-experiment would, so those reads are 404s.
 func TestStreamDeathFallsBackPerCell(t *testing.T) {
-	srv, _ := newTestFarm(t, ServerConfig{})
-	proxy := truncatingProxy(t, srv.Handler(), 3) // header + 2 cells, no trailer
+	store := &forgetfulStore{CellCache: harness.NewMemoryCache(0), gone: map[string]bool{}}
+	srv, _ := newTestFarm(t, ServerConfig{Cache: store})
+	proxy := truncatingProxy(t, srv.Handler(), 3, store.forget) // header + 2 cells, no trailer
 
 	spec := streamSpec(t)
 	sess := remoteSession(t, proxy.URL, spec)
@@ -190,12 +288,16 @@ func TestStreamDeathFallsBackPerCell(t *testing.T) {
 	matricesEqual(t, got, localMatrix(t, spec), spec)
 
 	st := srv.Stats()
-	if st.Experiments != 1 {
-		t.Fatalf("experiment requests: %+v", st)
+	// 2 cells arrived on the stream; the other 2 came per cell, each as
+	// one GET miss and one one-cell experiment.
+	if st.Experiments != 3 {
+		t.Fatalf("experiment requests = %d, want 1 stream + 2 one-cell: %+v", st.Experiments, st)
 	}
-	// 2 cells arrived on the stream; the other 2 came per cell.
 	if st.Computes != 2 {
 		t.Fatalf("per-cell fallback resolved %d cells, want exactly the 2 the stream lost: %+v", st.Computes, st)
+	}
+	if st.Gets != 2 || st.GetHits != 0 {
+		t.Fatalf("per-cell fallback store reads: gets=%d hits=%d, want 2 misses: %+v", st.Gets, st.GetHits, st)
 	}
 	if cs := sess.Stats(); cs.Simulated != 0 {
 		t.Fatalf("client simulated locally despite a live farm: %+v", cs)
@@ -203,7 +305,7 @@ func TestStreamDeathFallsBackPerCell(t *testing.T) {
 }
 
 // TestStreamRejectsBadExperiments: invalid experiment requests are 400s
-// surfaced as typed server errors, never simulations.
+// surfaced as typed server errors carrying the status, never simulations.
 func TestStreamRejectsBadExperiments(t *testing.T) {
 	srv, ts := newTestFarm(t, ServerConfig{})
 	wire := harness.WireExperiment(streamSpec(t), testOpts())
@@ -213,8 +315,8 @@ func TestStreamRejectsBadExperiments(t *testing.T) {
 		return nil
 	})
 	var se *StreamError
-	if !errors.As(err, &se) || se.Reason != "server" {
-		t.Fatalf("rejection not a typed server error: %v", err)
+	if !errors.As(err, &se) || se.Reason != "server" || se.Status != http.StatusBadRequest || !rejected(err) {
+		t.Fatalf("rejection not a typed 400 server error: %v", err)
 	}
 	if st := srv.Stats(); st.EngineSimulated != 0 {
 		t.Fatalf("rejected experiment reached the simulator: %+v", st)
@@ -355,36 +457,43 @@ func TestGzipNegotiation(t *testing.T) {
 
 // TestGzipStreamNegotiation: the experiment stream itself compresses when
 // negotiated and still flushes per line — the first cells decode before
-// the stream ends.
+// the stream ends — while a one-cell stream ships identity regardless.
 func TestGzipStreamNegotiation(t *testing.T) {
 	_, ts := newTestFarm(t, ServerConfig{})
-	wire := harness.WireExperiment(streamSpec(t), testOpts())
-	body, err := json.Marshal(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hc := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	req, err := http.NewRequest(http.MethodPost, ts.URL+ExperimentsPath, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := hc.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainClose(resp.Body)
-	if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
-		t.Fatalf("negotiated stream not gzipped: %q", enc)
-	}
-	rd, err := maybeGunzip(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := NewStreamClient(ts.URL, nil).consume(rd, func(CellEnvelope) error { return nil })
-	if err != nil || n != 4 {
-		t.Fatalf("gzipped stream: n=%d err=%v", n, err)
+	for _, tc := range []struct {
+		spec harness.MatrixSpec
+		enc  string
+	}{
+		{streamSpec(t), "gzip"},
+		{testJob(t, "505.mcf", core.KindNDA).Spec(), ""},
+	} {
+		body, err := json.Marshal(harness.WireExperiment(tc.spec, testOpts()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+ExperimentsPath, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept-Encoding", "gzip")
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer drainClose(resp.Body)
+		if enc := resp.Header.Get("Content-Encoding"); enc != tc.enc {
+			t.Fatalf("%s: stream Content-Encoding %q, want %q", tc.spec.Name, enc, tc.enc)
+		}
+		rd, err := maybeGunzip(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewStreamClient(ts.URL, nil).consume(rd, func(CellEnvelope) error { return nil })
+		if want := len(tc.spec.Configs) * len(tc.spec.Schemes) * len(tc.spec.Benches); err != nil || n != want {
+			t.Fatalf("%s: n=%d err=%v, want %d cells", tc.spec.Name, n, err, want)
+		}
 	}
 }
 
@@ -419,7 +528,7 @@ func TestStatsSchemaAndLatency(t *testing.T) {
 	opts := testOpts()
 	job := testJob(t, "505.mcf", core.KindBaseline)
 	c := fastClient(ts.URL, true)
-	if _, ok, err := c.ResolveCell(keyOf(job, opts), job, opts); !ok || err != nil {
+	if _, ok, err := computeCell(c, job, opts); !ok || err != nil {
 		t.Fatalf("compute: ok=%v err=%v", ok, err)
 	}
 	if _, _, err := c.Get(keyOf(job, opts)); err != nil {
@@ -438,7 +547,7 @@ func TestStatsSchemaAndLatency(t *testing.T) {
 	if st.Schema != StatsSchema {
 		t.Fatalf("stats schema = %q, want %q", st.Schema, StatsSchema)
 	}
-	for _, ep := range []string{"compute", "get_cell"} {
+	for _, ep := range []string{"experiments", "get_cell"} {
 		l, ok := st.Latency[ep]
 		if !ok || l.Count == 0 {
 			t.Fatalf("endpoint %s unobserved: %+v", ep, st.Latency)
@@ -447,7 +556,42 @@ func TestStatsSchemaAndLatency(t *testing.T) {
 			t.Fatalf("endpoint %s percentiles disordered: %+v", ep, l)
 		}
 	}
-	if _, ok := st.Latency["experiments"]; ok {
+	if _, ok := st.Latency["put_cell"]; ok {
 		t.Fatalf("unobserved endpoint reported: %+v", st.Latency)
 	}
+}
+
+// FuzzStreamConsume: arbitrary bytes on the stream never panic the
+// reader, Delivered never exceeds the number of cell lines, and every
+// failure is typed with the same count.
+func FuzzStreamConsume(f *testing.F) {
+	header, cell, trailer := streamLines(f)
+	f.Add([]byte(header + "\n" + cell + "\n" + trailer + "\n"))
+	f.Add([]byte(header + "\n" + cell + "\n" + cell + "\n"))
+	f.Add([]byte(header + "\n" + trailer + "\n" + cell + "\n"))
+	f.Add([]byte(cell + "\n" + header + "\n" + trailer + "\n"))
+	f.Add([]byte("{not json\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cells := 0
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			var probe struct {
+				Schema string `json:"schema"`
+			}
+			if json.Unmarshal(bytes.TrimSpace(line), &probe) == nil && probe.Schema == Schema {
+				cells++
+			}
+		}
+		delivered := 0
+		n, err := NewStreamClient("", nil).consume(bytes.NewReader(data), func(CellEnvelope) error {
+			delivered++
+			return nil
+		})
+		if n != delivered || n > cells {
+			t.Fatalf("delivered %d (callback %d) from %d cell lines", n, delivered, cells)
+		}
+		var se *StreamError
+		if err != nil && (!errors.As(err, &se) || se.Delivered != n) {
+			t.Fatalf("untyped or miscounted stream failure: %v", err)
+		}
+	})
 }

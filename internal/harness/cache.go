@@ -22,46 +22,28 @@ type CellCache interface {
 	Put(key string, r Run) error
 }
 
-// CellResolver is an optional CellCache extension for caches that can
-// resolve a *job*, not just look up a key — e.g. the farm HTTPCache in
-// compute mode, which asks a remote shadowbindingd to simulate the cell
-// when its store misses. The engine prefers ResolveCell over Get whenever
-// a cache implements it; the contract matches Get exactly (ok=false is a
-// miss, an error degrades to local re-simulation, never fails the run),
-// and a resolver must NOT fall back to simulating locally itself — the
-// engine owns that path.
-type CellResolver interface {
-	ResolveCell(key string, job CellJob, opts Options) (Run, bool, error)
-}
-
-// ExperimentResolver is an optional CellCache extension one level above
-// CellResolver: a cache that can resolve a whole experiment spec in one
-// round trip — the farm HTTPCache in compute mode, whose single streaming
-// request replaces one POST per cell. Each cell is handed to deliver as
-// it arrives (already validated by the implementation); (0, nil) means
-// the cache has no experiment path and the caller loses nothing by
-// resolving per cell. The failure contract matches the rest of the cache
-// surface: deliver what arrived, return the error, and the engine
-// resolves the remainder per cell — a broken stream costs time, never
-// the run.
-type ExperimentResolver interface {
-	ResolveExperiment(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error)
-}
-
-// cacheLookup reads one key from a cache, routing through ResolveCell for
-// caches that can resolve the full job (see CellResolver).
-func cacheLookup(c CellCache, key string, job CellJob, opts Options) (Run, bool, error) {
-	if r, ok := c.(CellResolver); ok {
-		return r.ResolveCell(key, job, opts)
-	}
-	return c.Get(key)
+// Resolver is the optional CellCache extension for caches that can
+// resolve a whole experiment spec, not just look up keys — the farm
+// HTTPCache in compute mode, whose single streaming request asks the farm
+// to simulate whatever it does not hold. A single cell is an experiment of
+// one (CellJob.Spec). Each cell is handed to deliver as it arrives
+// (already validated by the implementation, and before Resolve returns);
+// (0, nil) means the cache has no compute path and the caller loses
+// nothing by simulating locally. The failure contract matches the rest of
+// the cache surface: deliver what arrived, return the error, and the
+// engine resolves the remainder itself — a broken resolver costs time,
+// never the run. A resolver must NOT fall back to simulating locally
+// itself; the engine owns that path.
+type Resolver interface {
+	Resolve(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error)
 }
 
 // ---------------------------------------------------------------------------
 // In-memory LRU.
 
 // MemoryCache is a bounded in-memory LRU cell store — the fast layer of
-// OpenCellCache and the default cache of a Session created without one.
+// every tiered stack and the default cache of a Session created without
+// one.
 type MemoryCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -240,51 +222,9 @@ func NewTieredCache(layers ...CellCache) *TieredCache {
 
 // Get returns the first hit, promoting it into the missed faster layers.
 func (c *TieredCache) Get(key string) (Run, bool, error) {
-	return c.lookup(key, func(layer CellCache) (Run, bool, error) {
-		return layer.Get(key)
-	})
-}
-
-// ResolveCell is Get with the full job threaded through to layers that can
-// resolve it (CellResolver — e.g. a farm HTTPCache in compute mode as the
-// slowest layer): the walk is still fastest-first with backfill promotion,
-// so a remote-computed cell lands in the local memory and disk layers on
-// the way back.
-func (c *TieredCache) ResolveCell(key string, job CellJob, opts Options) (Run, bool, error) {
-	return c.lookup(key, func(layer CellCache) (Run, bool, error) {
-		return cacheLookup(layer, key, job, opts)
-	})
-}
-
-// ResolveExperiment forwards a whole spec to the first layer that can
-// resolve experiments (ExperimentResolver — the farm client as the slowest
-// layer of the canonical stack), backfilling every faster layer with each
-// streamed cell on the way through. With no such layer it is a clean no-op:
-// the engine resolves per cell as before.
-func (c *TieredCache) ResolveExperiment(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error) {
-	for i, layer := range c.layers {
-		er, ok := layer.(ExperimentResolver)
-		if !ok {
-			continue
-		}
-		return er.ResolveExperiment(ctx, spec, opts, func(key string, r Run) {
-			for _, upper := range c.layers[:i] {
-				_ = upper.Put(key, r) // best-effort backfill, like the tier walk
-			}
-			if deliver != nil {
-				deliver(key, r)
-			}
-		})
-	}
-	return 0, nil
-}
-
-// lookup walks the layers fastest-first with read, backfilling every faster
-// layer on a hit.
-func (c *TieredCache) lookup(key string, read func(CellCache) (Run, bool, error)) (Run, bool, error) {
 	var firstErr error
 	for i, layer := range c.layers {
-		r, ok, err := read(layer)
+		r, ok, err := layer.Get(key)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -300,6 +240,29 @@ func (c *TieredCache) lookup(key string, read func(CellCache) (Run, bool, error)
 	return Run{}, false, firstErr
 }
 
+// Resolve forwards a spec to the first layer that can resolve it (a
+// Resolver — the farm client as the slowest layer of the canonical
+// stack), backfilling every faster layer with each delivered cell on the
+// way through. With no such layer it is a clean no-op that touches no
+// layer: the engine simulates locally.
+func (c *TieredCache) Resolve(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error) {
+	for i, layer := range c.layers {
+		res, ok := layer.(Resolver)
+		if !ok {
+			continue
+		}
+		return res.Resolve(ctx, spec, opts, func(key string, r Run) {
+			for _, upper := range c.layers[:i] {
+				_ = upper.Put(key, r) // best-effort backfill, like Get's promotion
+			}
+			if deliver != nil {
+				deliver(key, r)
+			}
+		})
+	}
+	return 0, nil
+}
+
 // Put writes through every layer, returning the first error.
 func (c *TieredCache) Put(key string, r Run) error {
 	var firstErr error
@@ -309,19 +272,4 @@ func (c *TieredCache) Put(key string, r Run) error {
 		}
 	}
 	return firstErr
-}
-
-// OpenCellCache builds the standard cache stack behind the cmds' -cache
-// flag: an in-memory LRU alone when dir is empty, or the LRU over an
-// on-disk JSON store so results persist across processes.
-func OpenCellCache(dir string) (CellCache, error) {
-	mem := NewMemoryCache(0)
-	if dir == "" {
-		return mem, nil
-	}
-	disk, err := NewDiskCache(dir)
-	if err != nil {
-		return nil, err
-	}
-	return NewTieredCache(mem, disk), nil
 }

@@ -189,6 +189,35 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpenCellCache: the memory-over-disk stack the harness builds from its
+// constructors persists cells across stacks that share a directory, and an
+// unusable directory is an error, not a silently memory-only cache.
+func TestOpenCellCache(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cells")
+	open := func() *TieredCache {
+		disk, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewTieredCache(NewMemoryCache(0), disk)
+	}
+	want := fakeRun("505.mcf", core.KindBaseline, 4000)
+	if err := open().Put("k", want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := open().Get("k"); !ok || err != nil || got != want {
+		t.Fatalf("second stack over the same dir: %+v, %v, %v", got, ok, err)
+	}
+
+	file := filepath.Join(t.TempDir(), "occupied")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDiskCache(filepath.Join(file, "sub")); err == nil {
+		t.Error("unusable cache dir must error")
+	}
+}
+
 // TestTieredCacheBackfill: a hit in a slower layer must be promoted into
 // the faster ones.
 func TestTieredCacheBackfill(t *testing.T) {
@@ -220,29 +249,5 @@ func TestTieredCacheBackfill(t *testing.T) {
 	}
 	if _, ok, _ := disk.Get("k2"); !ok {
 		t.Error("write-through missed the disk layer")
-	}
-}
-
-func TestOpenCellCache(t *testing.T) {
-	c, err := OpenCellCache("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.(*MemoryCache); !ok {
-		t.Errorf("empty dir: got %T, want *MemoryCache", c)
-	}
-	c, err = OpenCellCache(filepath.Join(t.TempDir(), "cells"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.(*TieredCache); !ok {
-		t.Errorf("with dir: got %T, want *TieredCache", c)
-	}
-	file := filepath.Join(t.TempDir(), "occupied")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCellCache(filepath.Join(file, "sub")); err == nil {
-		t.Error("unusable cache dir must error")
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -22,6 +23,17 @@ type CellJob struct {
 	Config core.Config
 	Scheme core.SchemeKind
 	Bench  workloads.Profile
+}
+
+// Spec is the job as an experiment of one: a 1 config × 1 scheme × 1
+// benchmark MatrixSpec, the form a Resolver resolves single cells in.
+func (j CellJob) Spec() MatrixSpec {
+	return MatrixSpec{
+		Name:    fmt.Sprintf("%s@%s@%s", j.Bench.Name, j.Config.Name, j.Scheme),
+		Configs: []core.Config{j.Config},
+		Benches: []workloads.Profile{j.Bench},
+		Schemes: []core.SchemeKind{j.Scheme},
+	}
 }
 
 // CellResult is one completed cell, streamed to subscribers the moment it
@@ -164,18 +176,9 @@ func (e *Engine) Key(job CellJob, opts Options) string {
 	return CellFingerprint(e.version, job.Config, job.Scheme, job.Bench, opts)
 }
 
-// Cell resolves one job — cache first, then at-most-once simulation —
-// and returns the full CellResult, key and cache provenance included.
-// This is the hook the farm server (internal/farm) resolves compute
-// requests through: its single-flight map is what coalesces duplicate
-// in-flight requests fleet-wide onto one simulation.
-func (e *Engine) Cell(job CellJob, opts Options) (CellResult, error) {
-	return e.cell(job, opts)
-}
-
 // cell resolves one key: cache lookup, then single-flight simulation.
 // Errors are never cached — a failed cell is retried by the next request.
-func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
+func (e *Engine) cell(ctx context.Context, job CellJob, opts Options) (CellResult, error) {
 	key := e.Key(job, opts)
 	for {
 		e.mu.Lock()
@@ -198,7 +201,7 @@ func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
 		e.inflight[key] = f
 		e.mu.Unlock()
 
-		f.res, f.err = e.resolve(key, job, opts)
+		f.res, f.err = e.resolve(ctx, key, job, opts)
 
 		e.mu.Lock()
 		delete(e.inflight, key)
@@ -218,12 +221,10 @@ func (e *Engine) cell(job CellJob, opts Options) (CellResult, error) {
 }
 
 // resolve serves key from the cache or simulates it.
-func (e *Engine) resolve(key string, job CellJob, opts Options) (CellResult, error) {
+func (e *Engine) resolve(ctx context.Context, key string, job CellJob, opts Options) (CellResult, error) {
 	if e.cache != nil {
-		if r, ok, err := cacheLookup(e.cache, key, job, opts); ok {
+		if r, ok := e.lookup(ctx, key, job, opts); ok {
 			return CellResult{Key: key, Job: job, Run: r, Cached: true}, nil
-		} else if err != nil {
-			opts.logf("harness: cell cache read %s: %v (re-simulating)", key, err)
 		}
 	}
 	if e.gate != nil {
@@ -244,20 +245,48 @@ func (e *Engine) resolve(key string, job CellJob, opts Options) (CellResult, err
 	return CellResult{Key: key, Job: job, Run: r}, nil
 }
 
-// PrefetchExperiment resolves a whole spec through the cache's experiment
-// path when it has one (ExperimentResolver — the farm client in compute
-// mode as the slowest tier): one streaming request warms the faster cache
-// layers with every cell, so the per-cell resolution that follows is all
-// local hits and a cold remote experiment costs one request, not one per
-// cell. Returns the number of cells delivered. Failures follow the cache
-// contract — report through opts.Progress and fall back to per-cell
-// resolution, never fail the run.
+// lookup reads key from the cache and, on a miss, asks a Resolver cache
+// to resolve the job as an experiment of one — the farm client in compute
+// mode simulates it remotely. Every failure is a miss, reported through
+// opts.Progress: the engine re-simulates, never fails the run.
+func (e *Engine) lookup(ctx context.Context, key string, job CellJob, opts Options) (Run, bool) {
+	r, ok, err := e.cache.Get(key)
+	if ok {
+		return r, true
+	}
+	if err != nil {
+		opts.logf("harness: cell cache read %s: %v (re-simulating)", key, err)
+	}
+	res, isResolver := e.cache.(Resolver)
+	if !isResolver {
+		return Run{}, false
+	}
+	found := false
+	_, err = res.Resolve(ctx, job.Spec(), opts, func(k string, got Run) {
+		if k == key {
+			r, found = got, true
+		}
+	})
+	if err != nil && !found {
+		opts.logf("harness: cell resolve %s: %v (re-simulating)", key, err)
+	}
+	return r, found
+}
+
+// PrefetchExperiment resolves a whole spec through the cache's Resolver
+// when it has one (the farm client in compute mode as the slowest tier):
+// one streaming request warms the faster cache layers with every cell, so
+// the per-cell resolution that follows is all local hits and a cold
+// remote experiment costs one request, not one per cell. Returns the
+// number of cells delivered. Failures follow the cache contract — report
+// through opts.Progress and fall back to per-cell resolution, never fail
+// the run.
 func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts Options) int {
-	er, ok := e.cache.(ExperimentResolver)
+	res, ok := e.cache.(Resolver)
 	if !ok || len(spec.Schemes) == 0 {
 		return 0
 	}
-	n, err := er.ResolveExperiment(ctx, spec, opts, nil)
+	n, err := res.Resolve(ctx, spec, opts, nil)
 	if err != nil {
 		opts.logf("harness: experiment %q stream: %v (%d cells delivered; resolving per cell)",
 			spec.Name, err, n)
@@ -274,7 +303,7 @@ func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options) ([]
 	runs := make([]Run, len(jobs))
 	var done int
 	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(i int) error {
-		res, err := e.cell(jobs[i], opts)
+		res, err := e.cell(ctx, jobs[i], opts)
 		if err != nil {
 			return err
 		}

@@ -71,7 +71,8 @@ type SessionConfig struct {
 	Schemes []core.SchemeKind
 	// Cache persists cell results; nil gives the session a private
 	// in-memory LRU (lazy and deduplicated, but nothing survives the
-	// process). Use OpenCellCache(dir) for the standard memory+disk stack.
+	// process). The facade's OpenCache assembles the standard memory →
+	// disk → farm stack.
 	Cache CellCache
 	// Version overrides the fingerprint version stamp (tests); empty
 	// means core.SimVersion.
@@ -193,7 +194,7 @@ func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) 
 	s.mu.Unlock()
 
 	schemes := s.specSchemes(spec)
-	// With an experiment-capable cache (the farm client in compute mode),
+	// With a Resolver cache (the farm client in compute mode),
 	// one streaming request warms the local layers with the whole cell set
 	// before the per-cell walk — the walk then resolves entirely from the
 	// fast layers, so a cold remote matrix is one request, not one per cell.

@@ -84,11 +84,11 @@ func TestSessionWarmDiskCacheZeroSimulation(t *testing.T) {
 		Benches: sessionBenches(t, "505.mcf", "525.x264")}
 
 	open := func() *Session {
-		cache, err := OpenCellCache(dir)
+		disk, err := NewDiskCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewSession(SessionConfig{Options: sessionOptions(), Cache: cache})
+		return NewSession(SessionConfig{Options: sessionOptions(), Cache: NewTieredCache(NewMemoryCache(0), disk)})
 	}
 
 	cold := open()
@@ -134,11 +134,11 @@ func TestSessionInvalidation(t *testing.T) {
 		Benches: sessionBenches(t, "505.mcf")}
 
 	run := func(version string, opts Options) SessionStats {
-		cache, err := OpenCellCache(dir)
+		disk, err := NewDiskCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewSession(SessionConfig{Options: opts, Cache: cache, Version: version})
+		s := NewSession(SessionConfig{Options: opts, Cache: NewTieredCache(NewMemoryCache(0), disk), Version: version})
 		if _, err := s.Matrix(ctx, spec); err != nil {
 			t.Fatal(err)
 		}

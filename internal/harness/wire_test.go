@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"repro/internal/workloads"
 )
 
-func wireTestJob(t *testing.T) (CellJob, Options) {
+func wireTestJob(t testing.TB) (CellJob, Options) {
 	t.Helper()
 	prof, err := workloads.ByName("505.mcf")
 	if err != nil {
@@ -20,168 +21,121 @@ func wireTestJob(t *testing.T) (CellJob, Options) {
 	return CellJob{Config: core.MegaConfig(), Scheme: core.KindSTTIssue, Bench: prof}, opts
 }
 
-// TestWireJobKeyIdentity: a job that crosses the wire as JSON must resolve
-// to the same content-addressed key on the other side — this identity is
-// what lets a farm server and its clients agree on cell keys without ever
-// exchanging them for the compute path.
-func TestWireJobKeyIdentity(t *testing.T) {
-	job, opts := wireTestJob(t)
-	e := NewEngine(nil, "")
-	want := e.Key(job, opts)
-
-	data, err := json.Marshal(WireJob(job, opts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w CellJobWire
-	if err := json.Unmarshal(data, &w); err != nil {
-		t.Fatal(err)
-	}
-	gotJob, gotOpts, err := w.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Key(gotJob, gotOpts); got != want {
-		t.Fatalf("wire round trip changed the cell key: %s -> %s", want, got)
-	}
-	if gotJob.Scheme != job.Scheme || gotJob.Bench.Name != job.Bench.Name {
-		t.Fatalf("wire round trip changed the job: %+v", gotJob)
-	}
-	if gotOpts.WarmupCycles != opts.WarmupCycles || gotOpts.MeasureCycles != opts.MeasureCycles {
-		t.Fatalf("wire round trip changed the options: %+v", gotOpts)
-	}
-}
-
-// TestWireJobValidation: corrupted or incompatible wire jobs must be
-// rejected at Resolve, not crash inside the simulator.
-func TestWireJobValidation(t *testing.T) {
-	job, opts := wireTestJob(t)
-	good := WireJob(job, opts)
-
-	cases := []struct {
-		name   string
-		mutate func(*CellJobWire)
-	}{
-		{"unknown scheme", func(w *CellJobWire) { w.Scheme = "no-such-scheme" }},
-		{"invalid config", func(w *CellJobWire) { w.Config.Width = 99 }},
-		{"empty profile", func(w *CellJobWire) { w.Profile = workloads.Profile{} }},
-		{"zero window", func(w *CellJobWire) { w.Measure = 0 }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			w := good
-			tc.mutate(&w)
-			if _, _, err := w.Resolve(); err == nil {
-				t.Fatalf("%s: Resolve accepted a bad wire job", tc.name)
-			}
-		})
-	}
-	if _, _, err := good.Resolve(); err != nil {
-		t.Fatalf("unmutated wire job rejected: %v", err)
-	}
-}
-
-// resolverCache wraps a CellCache and records ResolveCell traffic — a
+// resolverCache wraps a CellCache and records Resolve traffic — a
 // stand-in for the farm HTTPCache in compute mode.
 type resolverCache struct {
-	inner    CellCache
-	resolves int
-	serve    func(key string, job CellJob, opts Options) (Run, bool, error)
+	inner CellCache
+	specs []MatrixSpec
+	serve func(spec MatrixSpec, opts Options, deliver func(string, Run)) (int, error)
 }
 
 func (c *resolverCache) Get(key string) (Run, bool, error) { return c.inner.Get(key) }
 func (c *resolverCache) Put(key string, r Run) error       { return c.inner.Put(key, r) }
-func (c *resolverCache) ResolveCell(key string, job CellJob, opts Options) (Run, bool, error) {
-	c.resolves++
-	return c.serve(key, job, opts)
+func (c *resolverCache) Resolve(_ context.Context, spec MatrixSpec, opts Options, deliver func(string, Run)) (int, error) {
+	c.specs = append(c.specs, spec)
+	return c.serve(spec, opts, deliver)
 }
 
-// TestEngineUsesCellResolver: the engine must route lookups through
-// ResolveCell when the cache implements it, count a successful resolution
-// as a cache hit, and degrade a resolver error to local simulation.
-func TestEngineUsesCellResolver(t *testing.T) {
+// TestEngineResolvesMissAsExperimentOfOne: on a cache miss the engine must
+// ask a Resolver cache for the job as a one-cell spec, count a delivered
+// cell as a cache hit, and degrade a resolver error — or a delivery under
+// a foreign key — to local simulation.
+func TestEngineResolvesMissAsExperimentOfOne(t *testing.T) {
 	job, opts := wireTestJob(t)
-
-	// First: a resolver that serves the cell (as a remote farm would).
+	ctx := context.Background()
 	ref, err := RunOne(job.Config, job.Scheme, job.Bench, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	key := NewEngine(nil, "").Key(job, opts)
+
+	// First: a resolver that serves the cell (as a remote farm would).
 	served := &resolverCache{
 		inner: NewMemoryCache(0),
-		serve: func(string, CellJob, Options) (Run, bool, error) { return ref, true, nil },
+		serve: func(_ MatrixSpec, _ Options, deliver func(string, Run)) (int, error) {
+			deliver(key, ref)
+			return 1, nil
+		},
 	}
 	e := NewEngine(served, "")
-	res, err := e.Cell(job, opts)
+	runs, err := e.RunCells(ctx, []CellJob{job}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served.resolves != 1 || !res.Cached {
-		t.Fatalf("resolver not used: resolves=%d cached=%v", served.resolves, res.Cached)
+	if len(served.specs) != 1 {
+		t.Fatalf("resolver asked %d times, want once", len(served.specs))
 	}
-	if st := e.Stats(); st.Hits != 1 || st.Simulated != 0 {
+	spec := served.specs[0]
+	if len(spec.Configs) != 1 || len(spec.Schemes) != 1 || len(spec.Benches) != 1 ||
+		spec.Schemes[0] != job.Scheme || spec.Benches[0].Name != job.Bench.Name {
+		t.Fatalf("miss not resolved as an experiment of one: %+v", spec)
+	}
+	if st := e.Stats(); st.Hits != 1 || st.Simulated != 0 || runs[0] != ref {
 		t.Fatalf("resolved cell not counted as a hit: %+v", st)
 	}
 
-	// Second: a failing resolver must degrade to local simulation.
-	failing := &resolverCache{
-		inner: NewMemoryCache(0),
-		serve: func(string, CellJob, Options) (Run, bool, error) {
-			return Run{}, false, errTestUnwritable
+	// Then: a failing resolver, and one that delivers under a foreign
+	// key, must both degrade to local simulation with identical results.
+	for name, serve := range map[string]func(MatrixSpec, Options, func(string, Run)) (int, error){
+		"error": func(MatrixSpec, Options, func(string, Run)) (int, error) {
+			return 0, errTestUnwritable
 		},
-	}
-	e2 := NewEngine(failing, "")
-	res2, err := e2.Cell(job, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Cached {
-		t.Fatal("failed resolution reported as cached")
-	}
-	if st := e2.Stats(); st.Simulated != 1 {
-		t.Fatalf("failed resolution did not simulate locally: %+v", st)
-	}
-	if res2.Run.IPC != ref.IPC || res2.Run.Cycles != ref.Cycles {
-		t.Fatalf("local re-simulation diverged: %+v vs %+v", res2.Run, ref)
+		"foreign key": func(_ MatrixSpec, _ Options, deliver func(string, Run)) (int, error) {
+			deliver("not-"+key, ref)
+			return 1, nil
+		},
+	} {
+		e := NewEngine(&resolverCache{inner: NewMemoryCache(0), serve: serve}, "")
+		runs, err := e.RunCells(ctx, []CellJob{job}, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st := e.Stats(); st.Simulated != 1 || st.Hits != 0 {
+			t.Fatalf("%s: resolver failure did not simulate locally: %+v", name, st)
+		}
+		if runs[0] != ref {
+			t.Fatalf("%s: local re-simulation diverged: %+v vs %+v", name, runs[0], ref)
+		}
 	}
 }
 
-// TestTieredCacheResolveCellBackfill: a tiered stack must thread the job
-// through to resolver layers and backfill faster layers with the result —
-// the path a remote-computed cell takes into the local memory layer.
-func TestTieredCacheResolveCellBackfill(t *testing.T) {
+// TestTieredCacheResolveBackfill: a tiered stack must forward a spec to
+// its resolver layer and backfill every faster layer with each delivered
+// cell — the path a remote-computed cell takes into the local memory
+// layer — and a stack without a resolver must be a clean no-op.
+func TestTieredCacheResolveBackfill(t *testing.T) {
 	job, opts := wireTestJob(t)
-	ref, err := RunOne(job.Config, job.Scheme, job.Bench, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := fakeRun(job.Bench.Name, job.Scheme, 4000)
 	mem := NewMemoryCache(0)
 	remote := &resolverCache{
 		inner: NewMemoryCache(0),
-		serve: func(string, CellJob, Options) (Run, bool, error) { return ref, true, nil },
+		serve: func(_ MatrixSpec, _ Options, deliver func(string, Run)) (int, error) {
+			deliver("k1", ref)
+			return 1, nil
+		},
 	}
 	tiered := NewTieredCache(mem, remote)
 
-	r, ok, err := tiered.ResolveCell("k1", job, opts)
-	if err != nil || !ok {
-		t.Fatalf("ResolveCell: ok=%v err=%v", ok, err)
+	var got []string
+	n, err := tiered.Resolve(context.Background(), job.Spec(), opts, func(key string, r Run) {
+		if r != ref {
+			t.Errorf("delivered wrong run: %+v", r)
+		}
+		got = append(got, key)
+	})
+	if err != nil || n != 1 || len(got) != 1 || got[0] != "k1" {
+		t.Fatalf("Resolve: n=%d delivered=%v err=%v", n, got, err)
 	}
-	if r.IPC != ref.IPC {
-		t.Fatalf("ResolveCell returned wrong run: %+v", r)
+	if r, ok, _ := mem.Get("k1"); !ok || r != ref {
+		t.Fatal("delivered cell not backfilled into the faster layer")
 	}
-	if remote.resolves != 1 {
-		t.Fatalf("remote layer resolves = %d, want 1", remote.resolves)
+	if r, ok, _ := tiered.Get("k1"); !ok || r != ref {
+		t.Fatal("backfilled cell not served by Get")
 	}
-	// The hit must have been promoted into the memory layer: a second
-	// lookup never reaches the resolver.
-	if _, ok, _ := mem.Get("k1"); !ok {
-		t.Fatal("hit not backfilled into the faster layer")
-	}
-	if _, ok, _ := tiered.ResolveCell("k1", job, opts); !ok {
-		t.Fatal("second lookup missed")
-	}
-	if remote.resolves != 1 {
-		t.Fatalf("second lookup reached the resolver (resolves=%d)", remote.resolves)
+
+	local := NewTieredCache(NewMemoryCache(0), NewMemoryCache(0))
+	if n, err := local.Resolve(context.Background(), job.Spec(), opts, nil); n != 0 || err != nil {
+		t.Fatalf("resolver-less stack: n=%d err=%v, want a clean no-op", n, err)
 	}
 }
 
@@ -227,6 +181,35 @@ func TestWireExperimentKeyIdentity(t *testing.T) {
 		if !want[CellKey(j, wopts)] {
 			t.Fatalf("wire round trip invented cell key for %s/%s/%s", j.Config.Name, j.Scheme, j.Bench.Name)
 		}
+	}
+}
+
+// TestWireJobKeyIdentity: a single cell crosses the wire as an experiment
+// of one and must resolve to the same job, run bounds and content-addressed
+// key on the other side — the identity that lets a farm and its clients
+// agree on a cell's key without ever exchanging it for the compute path.
+func TestWireJobKeyIdentity(t *testing.T) {
+	job, opts := wireTestJob(t)
+	data, err := json.Marshal(WireExperiment(job.Spec(), opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var one ExperimentJobWire
+	if err := json.Unmarshal(data, &one); err != nil {
+		t.Fatal(err)
+	}
+	jobs, wopts, err := one.Resolve()
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("one-cell wire: jobs=%d err=%v", len(jobs), err)
+	}
+	if got, want := CellKey(jobs[0], wopts), CellKey(job, opts); got != want {
+		t.Fatalf("one-cell round trip changed the cell key: %s -> %s", want, got)
+	}
+	if jobs[0].Scheme != job.Scheme || jobs[0].Bench.Name != job.Bench.Name {
+		t.Fatalf("one-cell round trip changed the job: %+v", jobs[0])
+	}
+	if wopts.WarmupCycles != opts.WarmupCycles || wopts.MeasureCycles != opts.MeasureCycles {
+		t.Fatalf("one-cell round trip changed the options: %+v", wopts)
 	}
 }
 
@@ -276,4 +259,88 @@ func TestWireExperimentValidation(t *testing.T) {
 	if jobs, _, err := good.Resolve(); err != nil || len(jobs) != 1 {
 		t.Fatalf("unmutated wire experiment rejected: jobs=%d err=%v", len(jobs), err)
 	}
+}
+
+// TestWireJobValidation: a corrupted or incompatible one-cell wire job is
+// rejected at Resolve, not crashed on inside the simulator.
+func TestWireJobValidation(t *testing.T) {
+	job, opts := wireTestJob(t)
+	good := WireExperiment(job.Spec(), opts)
+
+	cases := []struct {
+		name   string
+		mutate func(*ExperimentJobWire)
+	}{
+		{"unknown scheme", func(w *ExperimentJobWire) { w.Schemes = []string{"no-such-scheme"} }},
+		{"invalid config", func(w *ExperimentJobWire) { w.Configs[0].Width = 99 }},
+		{"empty profile", func(w *ExperimentJobWire) { w.Benches = []workloads.Profile{{}} }},
+		{"zero window", func(w *ExperimentJobWire) { w.Measure = 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := good
+			w.Configs = append([]core.Config(nil), good.Configs...)
+			tc.mutate(&w)
+			if _, _, err := w.Resolve(); err == nil {
+				t.Fatalf("%s: Resolve accepted a bad wire job", tc.name)
+			}
+		})
+	}
+	if jobs, _, err := good.Resolve(); err != nil || len(jobs) != 1 {
+		t.Fatalf("unmutated wire job rejected: jobs=%d err=%v", len(jobs), err)
+	}
+}
+
+// FuzzExperimentJobWire: arbitrary JSON fed to Resolve never panics, and
+// a wire Resolve accepts re-marshals to exactly the same per-cell keys —
+// the identity a farm's streamed-key validation rests on.
+func FuzzExperimentJobWire(f *testing.F) {
+	job, opts := wireTestJob(f)
+	for _, spec := range []MatrixSpec{
+		job.Spec(),
+		{
+			Name:    "seed",
+			Configs: []core.Config{core.SmallConfig(), core.MegaConfig()},
+			Schemes: []core.SchemeKind{core.KindBaseline, core.KindNDA},
+			Benches: []workloads.Profile{job.Bench},
+		},
+	} {
+		data, err := json.Marshal(WireExperiment(spec, opts))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"configs":[{}],"schemes":["baseline"],"benches":[{"name":"x"}],"measure":1}`))
+	f.Add([]byte(`{not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var w ExperimentJobWire
+		if json.Unmarshal(data, &w) != nil {
+			return
+		}
+		jobs, wopts, err := w.Resolve()
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(w)
+		if err != nil {
+			t.Fatalf("accepted wire does not marshal: %v", err)
+		}
+		var w2 ExperimentJobWire
+		if err := json.Unmarshal(again, &w2); err != nil {
+			t.Fatalf("re-marshaled wire does not parse: %v", err)
+		}
+		jobs2, wopts2, err := w2.Resolve()
+		if err != nil {
+			t.Fatalf("re-marshaled wire rejected: %v", err)
+		}
+		if len(jobs2) != len(jobs) {
+			t.Fatalf("re-marshaled wire enumerates %d cells, want %d", len(jobs2), len(jobs))
+		}
+		for i := range jobs {
+			if a, b := CellKey(jobs[i], wopts), CellKey(jobs2[i], wopts2); a != b {
+				t.Fatalf("cell %d key changed across re-marshal: %s -> %s", i, a, b)
+			}
+		}
+	})
 }

@@ -103,21 +103,20 @@ type (
 
 	// CellJob names one content-addressed simulation cell.
 	CellJob = harness.CellJob
-	// CellJobWire is the serializable form of one cell request — what the
-	// farm protocol posts to the compute endpoint.
-	CellJobWire = harness.CellJobWire
-	// ExperimentJobWire is the serializable form of one whole experiment
+	// ExperimentJobWire is the serializable form of one experiment
 	// request — what POST /v1/experiments carries; the receiver enumerates
-	// the identical per-cell key set.
+	// the identical per-cell key set. A single cell is an experiment of
+	// one (CellJob.Spec).
 	ExperimentJobWire = harness.ExperimentJobWire
-	// ExperimentResolver is the optional CellCache extension behind
-	// streamed experiments: a cache that can resolve a whole MatrixSpec in
-	// one round trip (the farm client in compute mode implements it).
-	ExperimentResolver = harness.ExperimentResolver
+	// Resolver is the optional CellCache extension behind remote compute:
+	// a cache that can resolve a whole MatrixSpec — or one cell, as an
+	// experiment of one — in one round trip (the farm client in compute
+	// mode implements it).
+	Resolver = harness.Resolver
 
 	// FarmServer is the networked cell-farm service (cmd/shadowbindingd):
-	// remote CellCache on GET/PUT, compute-on-miss with fleet-wide
-	// single-flight on POST, streamed whole experiments on
+	// remote CellCache on GET/PUT, streamed experiments (a single cell is
+	// an experiment of one) with fleet-wide single-flight on
 	// POST /v1/experiments, rendezvous-hashed worker fan-out with health
 	// tracking, /v1/stats counters with latency percentiles.
 	FarmServer = farm.Server
@@ -144,8 +143,9 @@ type CacheOptions struct {
 	// store (the cmds' -remote flag).
 	Remote string
 	// RemoteCompute additionally asks the farm to simulate missing cells —
-	// single cells on miss, and whole experiments as one streaming request
-	// (the cmds' -remote-compute flag). Requires Remote.
+	// whole experiments as one streaming request, and a single missed
+	// cell as an experiment of one (the cmds' -remote-compute flag).
+	// Requires Remote.
 	RemoteCompute bool
 	// MemoryCap bounds the in-memory LRU layer in entries (zero:
 	// DefaultMemoryCacheSize).
@@ -195,8 +195,6 @@ var (
 	// NewStreamClient returns a client for the farm's experiment stream
 	// endpoint (nil *http.Client for defaults).
 	NewStreamClient = farm.NewStreamClient
-	// WireJob flattens a (CellJob, Options) pair into its wire form.
-	WireJob = harness.WireJob
 	// WireExperiment flattens a resolved MatrixSpec (Schemes filled) and
 	// its run bounds into the experiment wire form.
 	WireExperiment = harness.WireExperiment

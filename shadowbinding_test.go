@@ -3,6 +3,8 @@ package shadowbinding
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -234,6 +236,16 @@ func TestOpenCacheFacade(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Simulated != 0 || st.Hits != 1 {
 		t.Fatalf("disk layer not shared across caches: %+v", st)
+	}
+
+	// An unusable Dir (a path under a regular file) is an error, not a
+	// silently memory-only cache.
+	file := filepath.Join(t.TempDir(), "occupied")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCache(CacheOptions{Dir: filepath.Join(file, "sub")}); err == nil {
+		t.Fatal("unusable cache dir must error")
 	}
 
 	// RemoteCompute without Remote is a configuration error, not a
