@@ -15,16 +15,17 @@ import (
 
 // The benchmark harness regenerates every table and figure in the paper's
 // evaluation section. The expensive part — the full (configuration ×
-// scheme × benchmark) simulation sweep — runs once and is shared by all
-// table/figure benchmarks; each benchmark then re-renders its experiment
-// and logs it, reporting its headline numbers as metrics.
+// scheme × benchmark) simulation sweep — runs once into a shared Session
+// and is served from its cache to all table/figure benchmarks; each
+// benchmark then re-renders its experiment and logs it, reporting its
+// headline numbers as metrics.
 //
 // Run everything with:
 //
 //	go test -bench=. -benchmem
 var (
 	evalOnce sync.Once
-	evalPtr  *Evaluation
+	evalSess *Session
 	evalErr  error
 )
 
@@ -35,25 +36,43 @@ func benchOptions() Options {
 	return o
 }
 
-func sharedEval(b *testing.B) *Evaluation {
+// sharedSession returns the session every table/figure benchmark renders
+// from, with the Boom and gem5 matrices already swept into its cache.
+func sharedSession(b *testing.B) *Session {
 	b.Helper()
 	if testing.Short() {
 		b.Skip("full matrix sweep skipped with -short")
 	}
-	evalOnce.Do(func() { evalPtr, evalErr = NewEvaluation(benchOptions()) })
+	evalOnce.Do(func() {
+		evalSess = NewSession(SessionConfig{Options: benchOptions()})
+		for _, spec := range []MatrixSpec{BoomSpec(), Gem5Spec()} {
+			if _, evalErr = evalSess.Matrix(context.Background(), spec); evalErr != nil {
+				return
+			}
+		}
+	})
 	if evalErr != nil {
 		b.Fatal(evalErr)
 	}
-	return evalPtr
+	return evalSess
+}
+
+// boomMatrix returns the shared session's Boom matrix (a cache hit).
+func boomMatrix(b *testing.B) *Matrix {
+	m, err := sharedSession(b).Matrix(context.Background(), BoomSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
 }
 
 func benchExperiment(b *testing.B, id string) string {
-	e := sharedEval(b)
+	s := sharedSession(b)
 	b.ResetTimer()
 	var out string
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = e.Experiment(id)
+		out, err = s.Experiment(context.Background(), id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,13 +81,24 @@ func benchExperiment(b *testing.B, id string) string {
 	return out
 }
 
+// sweepMatrix materializes (Configs() × schemes × benches) through a fresh
+// Session, so every call simulates every cell.
+func sweepMatrix(b *testing.B, schemes []Scheme, benches []Benchmark, opts Options) *Matrix {
+	s := NewSession(SessionConfig{Options: opts, Schemes: schemes})
+	m, err := s.Matrix(context.Background(), MatrixSpec{Name: "sweep", Configs: Configs(), Benches: benches})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return m
+}
+
 // BenchmarkTable1_Configs regenerates Table 1: the four BOOM
 // configurations and their measured baseline SPEC2017-proxy IPC.
 func BenchmarkTable1_Configs(b *testing.B) {
 	benchExperiment(b, "table1")
-	e := sharedEval(b)
-	for _, cfg := range e.Boom.Configs {
-		b.ReportMetric(e.Boom.MeanIPC(cfg.Name, Baseline), "baseIPC_"+cfg.Name)
+	boom := boomMatrix(b)
+	for _, cfg := range boom.Configs {
+		b.ReportMetric(boom.MeanIPC(cfg.Name, Baseline), "baseIPC_"+cfg.Name)
 	}
 }
 
@@ -76,10 +106,10 @@ func BenchmarkTable1_Configs(b *testing.B) {
 // normalized to baseline on the Mega configuration.
 func BenchmarkFigure6_NormalizedIPC(b *testing.B) {
 	benchExperiment(b, "fig6")
-	e := sharedEval(b)
-	b.ReportMetric(e.Boom.NormIPC("mega", STTRename), "relIPC_sttRename")
-	b.ReportMetric(e.Boom.NormIPC("mega", STTIssue), "relIPC_sttIssue")
-	b.ReportMetric(e.Boom.NormIPC("mega", NDA), "relIPC_nda")
+	boom := boomMatrix(b)
+	b.ReportMetric(boom.NormIPC("mega", STTRename), "relIPC_sttRename")
+	b.ReportMetric(boom.NormIPC("mega", STTIssue), "relIPC_sttIssue")
+	b.ReportMetric(boom.NormIPC("mega", NDA), "relIPC_nda")
 }
 
 // BenchmarkFigure7_IPCByWidth regenerates Figure 7: normalized IPC across
@@ -113,10 +143,10 @@ func BenchmarkFigure10_TimingTrend(b *testing.B) {
 // performance (IPC × timing) with the halved-slope Intel-class estimate.
 func BenchmarkTable3_Performance(b *testing.B) {
 	benchExperiment(b, "table3")
-	e := sharedEval(b)
-	b.ReportMetric(e.Boom.Performance("mega", STTRename), "perf_sttRename_mega")
-	b.ReportMetric(e.Boom.Performance("mega", STTIssue), "perf_sttIssue_mega")
-	b.ReportMetric(e.Boom.Performance("mega", NDA), "perf_nda_mega")
+	boom := boomMatrix(b)
+	b.ReportMetric(boom.Performance("mega", STTRename), "perf_sttRename_mega")
+	b.ReportMetric(boom.Performance("mega", STTIssue), "perf_sttIssue_mega")
+	b.ReportMetric(boom.Performance("mega", NDA), "perf_nda_mega")
 }
 
 // BenchmarkTable4_AreaPower regenerates Table 4: LUT/FF/power ratios at
@@ -137,15 +167,16 @@ func BenchmarkTable5_Gem5(b *testing.B) {
 }
 
 // BenchmarkSecurity_SpectreV1 runs the Section 7 security check: the
-// Spectre v1 gadget under all four schemes.
+// Spectre v1 and SSB gadgets under every registered scheme.
 func BenchmarkSecurity_SpectreV1(b *testing.B) {
 	if testing.Short() {
 		b.Skip("attack matrix skipped with -short")
 	}
 	var report string
+	var leaked bool
 	for i := 0; i < b.N; i++ {
 		var err error
-		report, err = SecurityReport()
+		report, leaked, err = SecurityReport(Schemes())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,6 +184,9 @@ func BenchmarkSecurity_SpectreV1(b *testing.B) {
 	b.Log("\n" + report)
 	if !strings.Contains(report, "true") {
 		b.Fatal("baseline did not leak")
+	}
+	if leaked {
+		b.Fatal("a secure scheme leaked")
 	}
 }
 
@@ -296,10 +330,7 @@ func BenchmarkCoreMatrixThroughput(b *testing.B) {
 	b.ResetTimer()
 	m0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMatrix(context.Background(), Configs(), Schemes(), benches, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := sweepMatrix(b, Schemes(), benches, opts)
 		simCycles += m.TotalSimCycles()
 		cells += m.NumRuns()
 	}
@@ -337,10 +368,7 @@ func BenchmarkLongMissMatrixThroughput(b *testing.B) {
 	b.ResetTimer()
 	m0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMatrix(context.Background(), Configs(), schemes, benches, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := sweepMatrix(b, schemes, benches, opts)
 		simCycles += m.TotalSimCycles()
 		cells += m.NumRuns()
 	}
@@ -375,10 +403,7 @@ func BenchmarkSquashMatrixThroughput(b *testing.B) {
 	b.ResetTimer()
 	m0 := mallocsNow()
 	for i := 0; i < b.N; i++ {
-		m, err := RunMatrix(context.Background(), Configs(), Schemes(), benches, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := sweepMatrix(b, Schemes(), benches, opts)
 		simCycles += m.TotalSimCycles()
 		cells += m.NumRuns()
 	}

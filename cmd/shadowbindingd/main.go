@@ -1,7 +1,7 @@
 // Command shadowbindingd serves the evaluation cell farm: a networked,
 // content-addressed store and compute service over the same cell engine
-// the cmds use locally. Any shadowbinding/specrun process points -remote
-// at it for a shared fleet-wide cache layer; with -remote-compute the
+// shadowbinding uses locally. Any shadowbinding process points -remote at
+// it for a shared fleet-wide cache layer; with -remote-compute the
 // daemon also simulates missing cells (coalescing duplicate in-flight
 // requests fleet-wide), and with -workers it shards that cold compute
 // across a pool of worker daemons by key hash.
@@ -51,7 +51,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	// The same Build every cmd uses; the daemon takes the cache stack and
+	// The same Build shadowbinding uses; the daemon takes the cache stack and
 	// the SIGINT context (-remote even chains this daemon onto an upstream
 	// farm store) and leaves the session untouched.
 	h, err := common.Build(tool, sb.DefaultOptions(), false)

@@ -2,8 +2,8 @@
 // schemes and show the cache side channel directly — which probe-array
 // slots are hot after the transient window. Attack verdicts are security
 // checks: they always re-simulate (the cell cache is for performance
-// cells), which is why this program runs the whole matrix via
-// SpectreV1All every time.
+// cells), which is why this program runs SpectreV1 under every scheme
+// every time.
 package main
 
 import (
@@ -22,11 +22,11 @@ func main() {
 	// -schemes flag accepts, and the lookup a drop-in scheme joins.
 	fmt.Printf("registered schemes: %v\n\n", sb.SchemeNames())
 
-	results, err := sb.SpectreV1All(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range results {
+	for _, scheme := range sb.Schemes() {
+		r, err := sb.SpectreV1(cfg, scheme)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-12s ", r.Scheme)
 		switch {
 		case r.Leaked && r.GuessedSecret >= 0:

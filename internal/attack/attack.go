@@ -187,16 +187,3 @@ func RunSpectreV1(cfg core.Config, kind core.SchemeKind) (Result, error) {
 	out.Leaked = len(out.HotSlots) > 0
 	return out, nil
 }
-
-// RunAll runs the attack under every scheme on cfg, in scheme order.
-func RunAll(cfg core.Config) ([]Result, error) {
-	var out []Result
-	for _, kind := range core.SchemeKinds() {
-		r, err := RunSpectreV1(cfg, kind)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -67,14 +67,14 @@ func TestSchemesBlockLeak(t *testing.T) {
 // every width.
 func TestAttackAcrossConfigs(t *testing.T) {
 	for _, cfg := range core.Configs() {
-		results, err := RunAll(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
-		}
-		for _, r := range results {
-			leakWanted := r.Scheme == core.KindBaseline
+		for _, kind := range core.SchemeKinds() {
+			r, err := RunSpectreV1(cfg, kind)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", cfg.Name, kind, err)
+			}
+			leakWanted := kind == core.KindBaseline
 			if r.Leaked != leakWanted {
-				t.Errorf("%s/%s: leaked=%v, want %v (hot %v)", cfg.Name, r.Scheme, r.Leaked, leakWanted, r.HotSlots)
+				t.Errorf("%s/%s: leaked=%v, want %v (hot %v)", cfg.Name, kind, r.Leaked, leakWanted, r.HotSlots)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Package cliutil centralizes the flag wiring and process plumbing shared
-// by the four cmds (shadowbinding, specrun, spectre, shadowbindingd).
-// Every cmd follows the same two-step shape: Register installs the common
-// -j/-schemes/-bench-out/-cache/-remote/-remote-compute/-*profile flags,
-// and Build finalizes the parsed values into the handles a run starts
+// by the two cmds: the shadowbinding evaluation CLI and the shadowbindingd
+// farm daemon. Both follow the same two-step shape: Register installs the
+// common -j/-schemes/-bench-out/-cache/-remote/-remote-compute/-*profile
+// flags, and Build finalizes the parsed values into the handles a run starts
 // from — resolved scheme axis, assembled cell-cache stack, a lazy Session
 // over both, profile collection, and the SIGINT-cancelled root context —
 // with one Close undoing all of it.
@@ -64,10 +64,9 @@ func Register(fs *flag.FlagSet, cacheHelp string) *Flags {
 	return f
 }
 
-// RegisterTrace installs the -trace-out flag. Only cmds that run a single
-// identifiable cell register it (shadowbinding, specrun); the recorder is
-// observational, so a traced run's printed results are identical to an
-// untraced run's.
+// RegisterTrace installs the -trace-out flag, which traces one
+// identifiable cell (shadowbinding -cell); the recorder is observational,
+// so a traced run's printed results are identical to an untraced run's.
 func (f *Flags) RegisterTrace(fs *flag.FlagSet) {
 	fs.StringVar(&f.TraceOut, "trace-out", "",
 		"write a per-cycle JSONL pipeline trace of the run to this path (view with shadowbinding -serve-trace PATH)")
@@ -194,7 +193,7 @@ func (f *Flags) OpenCache() (sb.CellCache, error) {
 }
 
 // Handles is everything Build assembles from the parsed flags — the
-// uniform starting state of all four cmds. Fields a cmd does not need
+// uniform starting state of both cmds. Fields a cmd does not need
 // (the daemon never touches Session) cost nothing: the session is lazy
 // and the cache stack only dials out when used.
 type Handles struct {

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,7 +29,7 @@ func testOpts() harness.Options {
 	return o
 }
 
-func testJob(t *testing.T, bench string, kind core.SchemeKind) harness.CellJob {
+func testJob(t testing.TB, bench string, kind core.SchemeKind) harness.CellJob {
 	t.Helper()
 	p, err := workloads.ByName(bench)
 	if err != nil {
@@ -41,7 +45,7 @@ func keyOf(job harness.CellJob, opts harness.Options) string {
 
 // refRun simulates a job locally — the ground truth farm-served results
 // must match byte for byte.
-func refRun(t *testing.T, job harness.CellJob, opts harness.Options) harness.Run {
+func refRun(t testing.TB, job harness.CellJob, opts harness.Options) harness.Run {
 	t.Helper()
 	r, err := harness.RunOne(job.Config, job.Scheme, job.Bench, opts)
 	if err != nil {
@@ -157,6 +161,130 @@ func TestFarmPutRejectsBadEnvelopes(t *testing.T) {
 	if code := put(t, key, good); code != http.StatusNoContent {
 		t.Fatalf("good envelope rejected: %d", code)
 	}
+}
+
+// recordingCache is a CellCache that records every key it is asked for.
+type recordingCache struct {
+	harness.CellCache
+	mu   sync.Mutex
+	keys []string
+}
+
+func (c *recordingCache) Get(key string) (harness.Run, bool, error) {
+	c.mu.Lock()
+	c.keys = append(c.keys, key)
+	c.mu.Unlock()
+	return c.CellCache.Get(key)
+}
+
+func (c *recordingCache) Put(key string, r harness.Run) error {
+	c.mu.Lock()
+	c.keys = append(c.keys, key)
+	c.mu.Unlock()
+	return c.CellCache.Put(key, r)
+}
+
+// TestFarmRejectsNonCanonicalKeys: GET and PUT answer 400 for any key that
+// is not 32 lowercase hex digits, before the on-disk store is touched — a
+// key like "../bad" would otherwise name a file outside the store.
+func TestFarmRejectsNonCanonicalKeys(t *testing.T) {
+	root := t.TempDir()
+	planted := filepath.Join(root, "bad.json")
+	if err := os.WriteFile(planted, []byte("garbage, not a cell"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := harness.NewDiskCache(filepath.Join(root, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &recordingCache{CellCache: disk}
+	_, ts := newTestFarm(t, ServerConfig{Cache: store})
+	opts := testOpts()
+	job := testJob(t, "505.mcf", core.KindBaseline)
+	key := keyOf(job, opts)
+	body, err := json.Marshal(newEnvelope(key, refRun(t, job, opts), false))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ name, path string }{
+		{"escaped parent", "..%2Fbad"},
+		{"too short", key[:31]},
+		{"too long", key + "0"},
+		{"uppercase", strings.ToUpper(key)},
+		{"non-hex", key[:31] + "g"},
+	} {
+		for _, method := range []string{http.MethodGet, http.MethodPut} {
+			req, err := http.NewRequest(method, ts.URL+CellsPath+"/"+tc.path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d (%s), want 400", method, tc.name, resp.StatusCode, msg)
+			}
+			if strings.Contains(string(msg), root) {
+				t.Errorf("%s %s: response leaks a server path: %s", method, tc.name, msg)
+			}
+		}
+	}
+	if len(store.keys) != 0 {
+		t.Fatalf("malformed keys reached the store: %q", store.keys)
+	}
+	if got, err := os.ReadFile(planted); err != nil || string(got) != "garbage, not a cell" {
+		t.Fatalf("planted file changed: %q, %v", got, err)
+	}
+
+	// The canonical key still round-trips.
+	c := fastClient(ts.URL, false)
+	if err := c.Put(key, refRun(t, job, opts)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get(key); !ok || err != nil {
+		t.Fatalf("canonical key: ok=%v err=%v", ok, err)
+	}
+}
+
+// FuzzCellEnvelope: decodeEnvelope never panics on arbitrary bytes, and
+// an envelope it accepts re-encodes to one that decodes to the same Run.
+func FuzzCellEnvelope(f *testing.F) {
+	opts := testOpts()
+	job := testJob(f, "505.mcf", core.KindNDA)
+	key := keyOf(job, opts)
+	for _, env := range []CellEnvelope{
+		newEnvelope(key, refRun(f, job, opts), false),
+		newEnvelope(key, harness.Run{Scheme: core.KindBaseline}, true),
+	} {
+		data, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":"` + Schema + `","key":"k","scheme":"no-such-scheme","run":{}}`))
+	f.Add([]byte(`{not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env, err := decodeEnvelope(bytes.NewReader(data), "")
+		if err != nil {
+			return
+		}
+		again, err := json.Marshal(env)
+		if err != nil {
+			t.Fatalf("accepted envelope does not marshal: %v", err)
+		}
+		env2, err := decodeEnvelope(bytes.NewReader(again), env.Key)
+		if err != nil {
+			t.Fatalf("re-encoded envelope rejected: %v", err)
+		}
+		if !reflect.DeepEqual(env2.Run, env.Run) {
+			t.Fatalf("run changed across re-encoding:\ngot  %+v\nwant %+v", env2.Run, env.Run)
+		}
+	})
 }
 
 // TestFarmComputeEndToEnd: a compute client's cold one-cell request

@@ -8,8 +8,9 @@
 //
 // The protocol is deliberately small and cache-shaped:
 //
-//	GET  /v1/cells/{key}   remote cache read: 200 cell envelope | 404 miss
-//	PUT  /v1/cells/{key}   remote cache write: 204 | 400 bad envelope
+//	GET  /v1/cells/{key}   remote cache read: 200 cell envelope | 404 miss |
+//	                       400 key not 32 lowercase hex digits
+//	PUT  /v1/cells/{key}   remote cache write: 204 | 400 bad key or envelope
 //	POST /v1/experiments   compute an experiment: body is a
 //	                       harness.ExperimentJobWire; the server resolves
 //	                       every cell through its own engine (cache first,
@@ -32,10 +33,11 @@
 // well, and streams flush per line either way so the stream doubles as a
 // progress feed.
 //
-// Keys are the engine's content-addressed cell fingerprints and are opaque
-// to the server's store; a client and server built from the same source
-// derive identical keys for identical jobs, because the wire form carries
-// exactly the fingerprinted fields. Every failure on the client side
+// Keys are the engine's content-addressed cell fingerprints, 32 lowercase
+// hex digits; the server answers 400 to any other key before its store
+// sees it. A client and server built from the same source derive identical
+// keys for identical jobs, because the wire form carries exactly the
+// fingerprinted fields. Every failure on the client side
 // degrades to a cache miss — the harness CellCache contract — so a flaky
 // or absent farm never fails a run, it only costs local re-simulation.
 package farm

@@ -222,10 +222,29 @@ func (pl *poolLayer) Resolve(ctx context.Context, spec harness.MatrixSpec, opts 
 	return len(jobs), nil
 }
 
+// canonicalKey reports whether key has the form harness.CellFingerprint
+// emits: 32 lowercase hex digits. The store maps keys to file names, so
+// any other key — "../x" above all — never reaches it.
+func canonicalKey(key string) bool {
+	if len(key) != 32 {
+		return false
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // handleGet serves one cell from the store: the remote cache read.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	s.gets.Add(1)
 	key := r.PathValue("key")
+	if !canonicalKey(key) {
+		httpError(w, http.StatusBadRequest, "farm: malformed cell key %q", key)
+		return
+	}
 	run, ok, err := s.cache.Get(key)
 	if err != nil {
 		s.log.Warn("cache read failed", "key", key, "err", err)
@@ -245,6 +264,10 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // continue), but the error is never swallowed here.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
+	if !canonicalKey(key) {
+		httpError(w, http.StatusBadRequest, "farm: malformed cell key %q", key)
+		return
+	}
 	body, err := requestBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

@@ -189,6 +189,63 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDiskCacheEntry: arbitrary bytes on disk under a key make Get a miss
+// or an error, never a panic, and a hit round-trips unchanged through
+// Put and Get.
+func FuzzDiskCacheEntry(f *testing.F) {
+	prof, err := workloads.ByName("505.mcf")
+	if err != nil {
+		f.Fatal(err)
+	}
+	opts := sessionOptions()
+	simulated, err := RunOne(core.MegaConfig(), core.KindNDA, prof, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := CellFingerprint("test/v1", core.MegaConfig(), core.KindNDA, prof, opts)
+	seedDir := f.TempDir()
+	seeds, err := NewDiskCache(seedDir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, r := range []Run{simulated, fakeRun("505.mcf", core.KindBaseline, 8000)} {
+		if err := seeds.Put(key, r); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(seedDir, key+".json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"schema":"` + CellSchema + `","key":"` + key + `","scheme":"nda","run":{"Scheme":1}}`))
+	f.Add([]byte("{nope"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		c, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := c.Get(key)
+		if !ok {
+			return
+		}
+		if err != nil {
+			t.Fatalf("hit with an error: %v", err)
+		}
+		if err := c.Put(key, got); err != nil {
+			t.Fatal(err)
+		}
+		again, ok, err := c.Get(key)
+		if !ok || err != nil || again != got {
+			t.Fatalf("hit did not round-trip (ok %v, err %v):\ngot  %+v\nwant %+v", ok, err, again, got)
+		}
+	})
+}
+
 // TestOpenCellCache: the memory-over-disk stack the harness builds from its
 // constructors persists cells across stacks that share a directory, and an
 // unusable directory is an error, not a silently memory-only cache.

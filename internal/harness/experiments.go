@@ -105,12 +105,12 @@ func unknownExperiment(id string) error {
 }
 
 // RenderExperiment renders an experiment from already-materialized
-// matrices keyed by MatrixSpec name ("boom", "gem5", ...) — the
-// compatibility path behind (*shadowbinding.Evaluation).Experiment, where
-// the matrices were swept eagerly. A held matrix must actually cover the
-// declared cell set (same configurations and benchmarks — the name alone
-// is just a label); experiments whose needs the caller does not hold are
-// an error; evaluate those through a Session.
+// matrices keyed by MatrixSpec name ("boom", "gem5", ...), for callers
+// that materialize and time the matrices themselves (the perfbench
+// module). A held matrix must actually cover the declared cell set (same
+// configurations and benchmarks — the name alone is just a label);
+// experiments whose needs the caller does not hold are an error; evaluate
+// those through a Session.
 func RenderExperiment(id string, avail map[string]*Matrix) (string, error) {
 	spec, ok := experimentByID(id)
 	if !ok {
@@ -133,7 +133,7 @@ func RenderExperiment(id string, avail map[string]*Matrix) (string, error) {
 // specCovered reports whether m holds exactly the cell axes need
 // declares: equal configurations (by fingerprint) and benchmark profiles,
 // and — when the spec pins a scheme axis — equal schemes. A spec without
-// a scheme override accepts any swept scheme set (an Evaluation may be
+// a scheme override accepts any swept scheme set (a held matrix may be
 // legitimately scheme-filtered).
 func specCovered(need MatrixSpec, m *Matrix) bool {
 	if len(need.Configs) != len(m.Configs) || len(need.Benches) != len(m.Benches) {

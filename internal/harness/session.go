@@ -17,8 +17,7 @@ import (
 // and answers matrix and experiment requests lazily — only the cells an
 // answer actually needs are simulated, each at most once per
 // content-addressed key, and a warm cache answers without simulating at
-// all. NewEvaluation and RunMatrix (runner.go, the facade) are thin
-// compatibility wrappers over a Session.
+// all. It is the one evaluation API.
 
 // MatrixSpec declares a cell set as a (configurations × benchmarks) cross
 // product; the scheme axis comes from the Session (or the optional
@@ -41,8 +40,8 @@ func BoomSpec() MatrixSpec {
 // registered scheme: the cell set behind the extended (6-scheme)
 // comparison, complete regardless of the session's -schemes filter. It
 // shares the "boom" name deliberately — the cells are the same
-// content-addressed jobs, and the Evaluation compatibility path can
-// satisfy it whenever its eagerly swept Boom matrix covers all schemes.
+// content-addressed jobs, so a caller of RenderExperiment holding a Boom
+// matrix swept over every scheme satisfies it.
 func ExtSpec() MatrixSpec {
 	s := BoomSpec()
 	s.Schemes = core.SchemeKinds()

@@ -297,13 +297,13 @@ func TestExperimentRegistryDropIn(t *testing.T) {
 		t.Errorf("drop-in requested %d cells, want %d", st.Cells, len(core.SchemeKinds()))
 	}
 
-	// The compatibility path refuses needs it cannot satisfy instead of
+	// RenderExperiment refuses needs it cannot satisfy instead of
 	// fabricating them — both a missing matrix and one whose name matches
 	// but whose cell set does not.
 	if _, err := RenderExperiment("zz-custom", map[string]*Matrix{}); err == nil {
 		t.Error("RenderExperiment without the needed matrix must error")
 	}
-	wrong, err := RunMatrix([]core.Config{core.SmallConfig()}, core.SchemeKinds(),
+	wrong, err := sessionMatrix(context.Background(), []core.Config{core.SmallConfig()}, core.SchemeKinds(),
 		sessionBenches(t, "525.x264"), sessionOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -362,21 +362,5 @@ func TestEngineSingleFlight(t *testing.T) {
 		if runs[i] != runs[0] {
 			t.Errorf("caller %d got a different run", i)
 		}
-	}
-}
-
-// TestRunMatrixEmptySchemes pins the preserved wrapper corner: an
-// explicitly empty scheme set sweeps nothing and errors nowhere.
-func TestRunMatrixEmptySchemes(t *testing.T) {
-	m, err := RunMatrix([]core.Config{core.MegaConfig()}, nil,
-		sessionBenches(t, "505.mcf"), sessionOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.NumRuns() != 0 {
-		t.Errorf("empty scheme set ran %d cells", m.NumRuns())
-	}
-	if _, ok := m.Cell("mega", core.KindBaseline); ok {
-		t.Error("empty sweep must have no cells")
 	}
 }

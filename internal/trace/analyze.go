@@ -105,12 +105,11 @@ func Analyze(meta Meta, recs []Record) Analysis {
 			a.MaxCycle = c
 		}
 	}
-	span := a.MaxCycle - a.MinCycle + 1
-	a.BinWidth = (span + occupancyBins - 1) / occupancyBins
-	if a.BinWidth == 0 {
-		a.BinWidth = 1
-	}
-	nBins := int((span + a.BinWidth - 1) / a.BinWidth)
+	// The span is MaxCycle-MinCycle+1, which wraps to 0 for a trace that
+	// covers all 2^64 cycles; ceil(span/n) is computed as (span-1)/n + 1.
+	spanMinus1 := a.MaxCycle - a.MinCycle
+	a.BinWidth = spanMinus1/occupancyBins + 1
+	nBins := int(spanMinus1/a.BinWidth) + 1
 	binOf := func(cycle uint64) int {
 		b := int((cycle - a.MinCycle) / a.BinWidth)
 		if b >= nBins {

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -72,6 +75,28 @@ func TestAnalyzeEmpty(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFullCycleRange: a trace whose records span cycle 0 to
+// 2^64-1 has a span that does not fit in a uint64; binning must still
+// stay in range.
+func TestAnalyzeFullCycleRange(t *testing.T) {
+	a := Analyze(Meta{}, []Record{
+		{Cycle: 0, Seq: 1, Op: "lw", Stage: "rename", Annot: "dom-park"},
+		{Cycle: math.MaxUint64, Seq: 1, Op: "lw", Stage: "commit", Annot: "dom-park"},
+	})
+	if a.MinCycle != 0 || a.MaxCycle != math.MaxUint64 {
+		t.Fatalf("cycle span = %d..%d", a.MinCycle, a.MaxCycle)
+	}
+	if n := len(a.Occupancy); n < 2 || n > occupancyBins {
+		t.Errorf("occupancy bins = %d, want 2..%d", n, occupancyBins)
+	}
+	if len(a.Delays) != 1 || a.Delays[0].Total != 2 {
+		t.Errorf("delay series = %+v, want two dom-park events", a.Delays)
+	}
+	if _, err := RenderHTML(a); err != nil {
+		t.Errorf("rendering: %v", err)
+	}
+}
+
 // TestRenderHTML renders the viewer for a real traced cell and asserts
 // the page structure: the viewer marker, all three panes, the data
 // tables, and no leaked NaN geometry.
@@ -120,4 +145,48 @@ func TestBucketLabels(t *testing.T) {
 	if b := bucketOf(513); b != len(latencyBucketEdges) {
 		t.Errorf("bucketOf(513) = %d", b)
 	}
+}
+
+// encodeTrace renders meta and records as the JSONL DecodeAll reads.
+func encodeTrace(t testing.TB, meta Meta, recs []Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(struct {
+		Meta Meta `json:"meta"`
+	}{meta}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// FuzzTraceDecodeAll: arbitrary bytes through DecodeAll, then Analyze and
+// the viewer, never panic, and an analysis stays within its bin budget.
+func FuzzTraceDecodeAll(f *testing.F) {
+	meta, recs := syntheticRecords()
+	f.Add(encodeTrace(f, meta, recs))
+	f.Add(encodeTrace(f, Meta{Scheme: "dom"}, []Record{
+		{Cycle: 0, Seq: 1, Op: "lw", Stage: "rename", Annot: "dom-park"},
+		{Cycle: math.MaxUint64, Seq: 1, Op: "lw", Stage: "commit"},
+	}))
+	f.Add(encodeTrace(f, meta, nil))
+	f.Add([]byte(`{"meta":{"bench":"x"}}` + "\n" + `not json` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		meta, recs, err := DecodeAll(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		a := Analyze(meta, recs)
+		if a.Records != len(recs) || len(a.Occupancy) > occupancyBins {
+			t.Fatalf("analysis of %d records: %d records, %d bins", len(recs), a.Records, len(a.Occupancy))
+		}
+		if _, err := RenderHTML(a); err != nil {
+			t.Fatalf("render: %v", err)
+		}
+	})
 }

@@ -31,8 +31,7 @@
 // RemoteCompute asking the farm to simulate misses and stream whole
 // experiments) — so a warm re-run simulates nothing. Results are deterministic:
 // identical matrices and figure text at any parallelism and any cache
-// temperature. NewEvaluation and RunMatrix remain as eager compatibility
-// wrappers over the same engine.
+// temperature.
 //
 // Schemes and experiments are open-ended: both live in registries
 // (core.RegisterScheme, RegisterExperiment) and everything here — the
@@ -203,13 +202,14 @@ var (
 	CellKey = harness.CellKey
 
 	// RegisterExperiment adds a drop-in experiment: its id joins
-	// ExperimentIDs, every cmd's -experiment flag, and Session.Experiment.
+	// ExperimentIDs, the shadowbinding -experiment flag, and
+	// Session.Experiment.
 	RegisterExperiment = harness.RegisterExperiment
 	// Experiments returns every registered experiment in presentation
 	// order.
 	Experiments = harness.Experiments
 	// ExperimentIDs lists the registered experiment ids accepted by
-	// Session.Experiment and (*Evaluation).Experiment.
+	// Session.Experiment.
 	ExperimentIDs = harness.ExperimentIDs
 
 	// BoomSpec is the paper's main matrix (4 BOOM configs × full suite);
@@ -355,14 +355,6 @@ var (
 	ServeTrace      = trace.ServeTrace
 )
 
-// RunMatrix sweeps (configs × schemes × benches) on the parallel
-// evaluation engine: Options.Parallelism worker goroutines (zero means all
-// CPUs), fail-fast on the first error, cancellable through ctx, and with
-// deterministic matrix contents regardless of scheduling order.
-func RunMatrix(ctx context.Context, configs []Config, schemes []Scheme, benches []Benchmark, opts Options) (*Matrix, error) {
-	return harness.RunMatrixContext(ctx, configs, schemes, benches, opts)
-}
-
 // TraceOf digests a run's counters into TraceDoctor-style KPIs.
 func TraceOf(r Run) TraceReport { return trace.New(r.Scheme, r.Stats) }
 
@@ -371,13 +363,49 @@ func SpectreV1(cfg Config, kind Scheme) (AttackResult, error) {
 	return attack.RunSpectreV1(cfg, kind)
 }
 
-// SpectreV1All runs the attack under every scheme.
-func SpectreV1All(cfg Config) ([]AttackResult, error) { return attack.RunAll(cfg) }
-
 // SpectreSSB runs the Speculative Store Bypass (Spectre v4) attack under
 // one scheme — the D-shadow counterpart of SpectreV1.
 func SpectreSSB(cfg Config, kind Scheme) (AttackResult, error) {
 	return attack.RunSpectreSSB(cfg, kind)
+}
+
+// securityChecks are the attacks SecurityReport runs, in report order,
+// each with the secret it plants. Tests substitute a leaking attack here.
+var securityChecks = []struct {
+	title  string
+	secret int
+	run    func(Config, Scheme) (AttackResult, error)
+}{
+	{"Spectre v1 (bounds-check bypass)", attack.SecretValue, attack.RunSpectreV1},
+	{"Speculative Store Bypass (Spectre v4)", attack.SSBSecret, attack.RunSpectreSSB},
+}
+
+// SecurityReport runs the paper's Section 7 check — Spectre v1, then the
+// Speculative Store Bypass, on the Mega configuration — under each of
+// schemes and renders the verdict tables. secureLeak reports whether any
+// scheme other than the baseline leaked, which is a reproduction failure.
+func SecurityReport(schemes []Scheme) (report string, secureLeak bool, err error) {
+	var b strings.Builder
+	for i, check := range securityChecks {
+		if i > 0 {
+			b.WriteString("\n")
+		}
+		fmt.Fprintf(&b, "%s on the Mega configuration:\n", check.title)
+		fmt.Fprintf(&b, "%-12s %-8s %-14s %s\n", "scheme", "leaked", "recovered", "hot probe slots")
+		for _, kind := range schemes {
+			r, err := check.run(core.MegaConfig(), kind)
+			if err != nil {
+				return "", false, err
+			}
+			rec := "-"
+			if r.GuessedSecret >= 0 {
+				rec = fmt.Sprintf("%d (planted %d)", r.GuessedSecret, check.secret&63)
+			}
+			fmt.Fprintf(&b, "%-12s %-8v %-14s %v\n", r.Scheme, r.Leaked, rec, r.HotSlots)
+			secureLeak = secureLeak || (r.Leaked && kind != Baseline)
+		}
+	}
+	return b.String(), secureLeak, nil
 }
 
 // Differential fuzzing (internal/diffsim): a seeded random-program oracle
@@ -413,117 +441,4 @@ func FuzzCampaign(ctx context.Context, baseSeed uint64, n, parallelism int, prog
 // failure message — through the full differential oracle.
 func ReplayFuzzCase(c FuzzCase) error {
 	return diffsim.CheckCase(diffsim.ConfigForCase(c), core.SchemeKinds(), c)
-}
-
-// Evaluation holds the measured matrices behind the paper's tables and
-// figures: the four BOOM configurations over the full suite, plus the
-// gem5-style configurations over the 19-benchmark comparable suite. It is
-// the eager compatibility wrapper over a Session — both matrices are
-// materialized up front; prefer a Session to simulate (and cache) only
-// what a given experiment needs.
-type Evaluation struct {
-	Boom *harness.Matrix
-	Gem5 *harness.Matrix
-}
-
-// NewEvaluation runs the full sweep (4 configs × every registered scheme
-// × 22 benchmarks plus 2 gem5 configs × the same schemes × 19 benchmarks)
-// on the parallel engine.
-func NewEvaluation(opts Options) (*Evaluation, error) {
-	return NewEvaluationContext(context.Background(), Schemes(), opts)
-}
-
-// NewEvaluationContext is NewEvaluation restricted to a scheme subset and
-// cancellable through ctx. The baseline is always included: the figures
-// normalize against it. Both matrices are materialized eagerly through a
-// default (memory-cached, process-private) Session.
-func NewEvaluationContext(ctx context.Context, schemes []Scheme, opts Options) (*Evaluation, error) {
-	if len(schemes) == 0 {
-		schemes = Schemes()
-	}
-	s := NewSession(SessionConfig{Options: opts, Schemes: WithBaseline(schemes)})
-	return EvaluationFromSession(ctx, s)
-}
-
-// EvaluationFromSession materializes both evaluation matrices through an
-// existing session — with a warm CellCache this costs zero simulation.
-func EvaluationFromSession(ctx context.Context, s *Session) (*Evaluation, error) {
-	boom, err := s.Matrix(ctx, BoomSpec())
-	if err != nil {
-		return nil, err
-	}
-	gem5, err := s.Matrix(ctx, Gem5Spec())
-	if err != nil {
-		return nil, err
-	}
-	return &Evaluation{Boom: boom, Gem5: gem5}, nil
-}
-
-// TotalSimCycles sums the simulated cycles behind both matrices (warmup
-// included) for throughput accounting.
-func (e *Evaluation) TotalSimCycles() uint64 {
-	return e.Boom.TotalSimCycles() + e.Gem5.TotalSimCycles()
-}
-
-// NumRuns returns the number of (config, scheme, benchmark) cells across
-// both matrices.
-func (e *Evaluation) NumRuns() int {
-	return e.Boom.NumRuns() + e.Gem5.NumRuns()
-}
-
-// Table/figure emitters; each returns the experiment rendered as text.
-
-func (e *Evaluation) Table1() string   { return harness.Table1(e.Boom) }
-func (e *Evaluation) Figure6() string  { return harness.Figure6(e.Boom) }
-func (e *Evaluation) Figure7() string  { return harness.Figure7(e.Boom) }
-func (e *Evaluation) Figure8() string  { return harness.Figure8(e.Boom) }
-func (e *Evaluation) Figure9() string  { return harness.Figure9(e.Boom.Configs) }
-func (e *Evaluation) Figure10() string { return harness.Figure10(e.Boom) }
-func (e *Evaluation) Table3() string   { return harness.Table3(e.Boom) }
-func (e *Evaluation) Table4() string   { return harness.Table4() }
-func (e *Evaluation) Table5() string   { return harness.Table5(e.Boom, e.Gem5) }
-
-// SecurityReport runs the Spectre v1 matrix on the Mega configuration and
-// renders the verdict table (the paper's Section 7 check).
-func SecurityReport() (string, error) {
-	results, err := attack.RunAll(core.MegaConfig())
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Spectre v1 (bounds-check bypass) on the Mega configuration:\n")
-	fmt.Fprintf(&b, "%-12s %-8s %-14s %s\n", "scheme", "leaked", "recovered", "hot probe slots")
-	for _, r := range results {
-		rec := "-"
-		if r.GuessedSecret >= 0 {
-			rec = fmt.Sprintf("%d (planted %d)", r.GuessedSecret, attack.SecretValue&63)
-		}
-		fmt.Fprintf(&b, "%-12s %-8v %-14s %v\n", r.Scheme, r.Leaked, rec, r.HotSlots)
-	}
-	fmt.Fprintf(&b, "\nSpeculative Store Bypass (Spectre v4) on the Mega configuration:\n")
-	fmt.Fprintf(&b, "%-12s %-8s %-14s %s\n", "scheme", "leaked", "recovered", "hot probe slots")
-	for _, kind := range core.SchemeKinds() {
-		r, err := attack.RunSpectreSSB(core.MegaConfig(), kind)
-		if err != nil {
-			return "", err
-		}
-		rec := "-"
-		if r.GuessedSecret >= 0 {
-			rec = fmt.Sprintf("%d (planted %d)", r.GuessedSecret, attack.SSBSecret&63)
-		}
-		fmt.Fprintf(&b, "%-12s %-8v %-14s %v\n", r.Scheme, r.Leaked, rec, r.HotSlots)
-	}
-	return b.String(), nil
-}
-
-// Experiment renders one registered experiment by id from the eagerly
-// swept matrices ("fig1" is an alias for the Table 3 performance data it
-// plots). Dispatch goes through the experiment registry, so drop-in
-// experiments whose needs are covered by the Boom/Gem5 matrices render
-// here too; experiments needing other cell sets require a Session.
-func (e *Evaluation) Experiment(id string) (string, error) {
-	return harness.RenderExperiment(id, map[string]*harness.Matrix{
-		"boom": e.Boom,
-		"gem5": e.Gem5,
-	})
 }

@@ -72,6 +72,8 @@ func TestSchemeFacade(t *testing.T) {
 	}
 }
 
+// TestRunMatrixFacade sweeps a small matrix through a Session on the
+// parallel engine.
 func TestRunMatrixFacade(t *testing.T) {
 	opts := DefaultOptions()
 	opts.WarmupCycles = 2_000
@@ -81,8 +83,8 @@ func TestRunMatrixFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunMatrix(context.Background(),
-		[]Config{MegaConfig()}, Schemes(), []Benchmark{prof}, opts)
+	m, err := NewSession(SessionConfig{Options: opts}).Matrix(context.Background(),
+		MatrixSpec{Name: "facade", Configs: []Config{MegaConfig()}, Benches: []Benchmark{prof}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +112,58 @@ func TestSpectreFacade(t *testing.T) {
 	if !r.Leaked {
 		t.Error("baseline must leak")
 	}
-	report, err := SecurityReport()
+	report, leaked, err := SecurityReport(Schemes())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if leaked {
+		t.Errorf("a secure scheme leaked:\n%s", report)
 	}
 	for _, scheme := range []string{"baseline", "stt-rename", "stt-issue", "nda", "dom", "invisispec"} {
 		if !strings.Contains(report, scheme) {
 			t.Errorf("security report missing %s:\n%s", scheme, report)
 		}
+	}
+
+	// The report covers exactly the given axis.
+	report, leaked, err = SecurityReport([]Scheme{Baseline, NDA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaked || !strings.Contains(report, "nda") || strings.Contains(report, "stt-rename") {
+		t.Errorf("baseline,nda report (leaked=%v):\n%s", leaked, report)
+	}
+}
+
+// TestSecurityReportFlagsSecureLeak pins the exit rule of the security
+// check: a leaking baseline is expected, but any other scheme leaking
+// sets secureLeak, which the shadowbinding CLI turns into exit status 1.
+func TestSecurityReportFlagsSecureLeak(t *testing.T) {
+	saved := securityChecks
+	t.Cleanup(func() { securityChecks = saved })
+	leakUnder := func(leaky Scheme) {
+		check := saved[0]
+		check.run = func(cfg Config, kind Scheme) (AttackResult, error) {
+			return AttackResult{Scheme: kind, Config: cfg.Name, GuessedSecret: -1,
+				Leaked: kind == leaky}, nil
+		}
+		securityChecks = append(saved[:0:0], check)
+	}
+
+	leakUnder(Baseline)
+	if _, leaked, err := SecurityReport(Schemes()); err != nil || leaked {
+		t.Errorf("baseline-only leak: leaked=%v err=%v, want false", leaked, err)
+	}
+	leakUnder(NDA)
+	report, leaked, err := SecurityReport(Schemes())
+	if err != nil || !leaked {
+		t.Errorf("nda leak: leaked=%v err=%v, want true", leaked, err)
+	}
+	if !strings.Contains(report, "nda          true") {
+		t.Errorf("leaking row not rendered:\n%s", report)
+	}
+	if _, leaked, _ := SecurityReport([]Scheme{Baseline, STTRename}); leaked {
+		t.Error("a leak under a scheme outside the axis was reported")
 	}
 }
 
@@ -181,12 +227,10 @@ func TestExperimentIDs(t *testing.T) {
 	opts.WarmupCycles = 1_000
 	opts.MeasureCycles = 3_000
 	// A tiny evaluation is enough to exercise the dispatch table.
-	e, err := NewEvaluation(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSession(SessionConfig{Options: opts})
+	ctx := context.Background()
 	for _, id := range ExperimentIDs() {
-		out, err := e.Experiment(id)
+		out, err := s.Experiment(ctx, id)
 		if err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
@@ -194,7 +238,7 @@ func TestExperimentIDs(t *testing.T) {
 			t.Errorf("%s: short output", id)
 		}
 	}
-	if _, err := e.Experiment("fig99"); err == nil {
+	if _, err := s.Experiment(ctx, "fig99"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
