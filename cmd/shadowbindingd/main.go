@@ -4,7 +4,8 @@
 // it for a shared fleet-wide cache layer; with -remote-compute the
 // daemon also simulates missing cells (coalescing duplicate in-flight
 // requests fleet-wide), and with -workers it shards that cold compute
-// across a pool of worker daemons by key hash.
+// across a pool of worker daemons by key hash, forwarding each worker its
+// share of an experiment as one streamed request.
 //
 // Usage:
 //
@@ -15,8 +16,8 @@
 // Protocol (see internal/farm): GET/PUT /v1/cells/{key} for the remote
 // cache, POST /v1/experiments for a streamed experiment (a single cell is
 // an experiment of one), GET /v1/stats for counters. Workers are
-// rendezvous-hashed and health-probed; a dead worker's keys re-shard to
-// the survivors.
+// rendezvous-hashed and health-probed; a worker that dies mid-stream has
+// its undelivered cells re-sharded to the survivors.
 package main
 
 import (

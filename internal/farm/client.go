@@ -128,10 +128,11 @@ func (c *HTTPCache) Get(key string) (harness.Run, bool, error) {
 		case resp.StatusCode != http.StatusOK:
 			return transient("farm: get %s: %s", key, resp.Status)
 		}
-		rd, err := maybeGunzip(resp)
+		rd, release, err := maybeGunzip(resp)
 		if err != nil {
 			return &transientError{err: err}
 		}
+		defer release()
 		env, err := decodeEnvelope(rd, key)
 		if err != nil {
 			return &transientError{err: err} // corrupt body: retry, then miss
@@ -175,39 +176,31 @@ func (c *HTTPCache) Put(key string, r harness.Run) error {
 }
 
 // Resolve implements harness.Resolver: in compute mode, one POST
-// /v1/experiments asks the farm to resolve the whole spec, and every
-// validated streamed cell is handed to deliver as it arrives — under a
-// TieredCache that backfills the faster local layers, so the per-cell
-// resolution that follows is all local hits and a cold remote experiment
-// costs exactly one request. Streamed keys are checked against the
-// locally derived key set. A whole experiment is bounded only by ctx (it
-// legitimately lasts as long as the farm simulates); a one-cell spec is a
-// request like Get — bounded per attempt by Timeout and retried on
-// transient failures. Without Compute the farm cannot be asked to
-// simulate, so the cache reports a clean no-op; every failure is returned
-// for the engine to degrade to per-cell or local resolution.
-func (c *HTTPCache) Resolve(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
-	if !c.opt.Compute {
+// /v1/experiments asks the farm to resolve the whole batch, and every
+// validated streamed cell is handed to deliver as it arrives (under a
+// TieredCache that backfills the faster local layers). Streamed keys are
+// checked against the caller's key set. A batch is bounded only by
+// ctx (it legitimately lasts as long as the farm simulates); a one-cell
+// batch is a request like Get — bounded per attempt by Timeout and
+// retried on transient failures. Without Compute the farm cannot be asked
+// to simulate, so the cache reports a clean no-op; every failure is
+// returned for the engine to degrade to per-cell or local resolution.
+func (c *HTTPCache) Resolve(ctx context.Context, jobs []harness.CellJob, keys []string, opts harness.Options, deliver func(key string, r harness.Run)) (int, error) {
+	if !c.opt.Compute || len(jobs) == 0 {
 		return 0, nil
 	}
-	wire := harness.WireExperiment(spec, opts)
-	jobs, wopts, err := wire.Resolve()
-	if err != nil {
-		return 0, fmt.Errorf("farm: experiment %q: %w", spec.Name, err)
-	}
-	expect := make(map[string]bool, len(jobs))
-	for _, j := range jobs {
-		expect[harness.CellKey(j, wopts)] = true
+	wire := harness.WireJobs(jobs, opts)
+	expect := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		expect[k] = true
 	}
 	stream := func(ctx context.Context) (int, error) {
 		return NewStreamClient(c.base, c.hc).Experiment(ctx, wire, func(env CellEnvelope) error {
 			if !expect[env.Key] {
 				return &StreamError{Reason: "protocol",
-					Err: fmt.Errorf("farm: streamed key %s is not in experiment %q (version skew?)", env.Key, spec.Name)}
+					Err: fmt.Errorf("farm: streamed key %s is not in experiment %q (version skew?)", env.Key, wire.Name)}
 			}
-			if deliver != nil {
-				deliver(env.Key, env.Run)
-			}
+			deliver(env.Key, env.Run)
 			return nil
 		})
 	}
@@ -220,7 +213,7 @@ func (c *HTTPCache) Resolve(ctx context.Context, spec harness.MatrixSpec, opts h
 		return n, err
 	}
 	var n int
-	err = c.retry(ctx, func(ctx context.Context) error {
+	err := c.retry(ctx, func(ctx context.Context) error {
 		var err error
 		n, err = stream(ctx)
 		if err != nil && n == 0 && !rejected(err) {

@@ -78,7 +78,8 @@ func fastClient(url string, compute bool) *HTTPCache {
 // experiment of one — the request the engine makes for a lone miss.
 func computeCell(c *HTTPCache, job harness.CellJob, opts harness.Options) (harness.Run, bool, error) {
 	var run harness.Run
-	n, err := c.Resolve(context.Background(), job.Spec(), opts, func(_ string, r harness.Run) { run = r })
+	n, err := c.Resolve(context.Background(), []harness.CellJob{job}, []string{harness.CellKey(job, opts)}, opts,
+		func(_ string, r harness.Run) { run = r })
 	return run, n == 1, err
 }
 
@@ -349,7 +350,7 @@ func TestFarmComputeRejectsBadJobs(t *testing.T) {
 	if code := post("{not json"); code != http.StatusBadRequest {
 		t.Fatalf("garbage accepted: %d", code)
 	}
-	wire := harness.WireExperiment(testJob(t, "505.mcf", core.KindBaseline).Spec(), testOpts())
+	wire := harness.WireJobs([]harness.CellJob{testJob(t, "505.mcf", core.KindBaseline)}, testOpts())
 	wire.Schemes = []string{"no-such-scheme"}
 	body, err := json.Marshal(wire)
 	if err != nil {

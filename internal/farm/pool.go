@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,22 +17,24 @@ import (
 )
 
 // The worker pool. A coordinator configured with worker URLs shards cold
-// compute requests across the *healthy* subset by rendezvous (highest-
-// random-weight) hashing: every key scores every worker and lands on the
-// maximum. The placement is minimal-disruption by construction — removing
+// cells across the *healthy* subset by rendezvous (highest-random-weight)
+// hashing: every key scores every worker and lands on the maximum. The placement is minimal-disruption by construction — removing
 // a worker only remaps the keys that worker owned, so a death re-shards
 // its slice evenly across the survivors while every other cell stays on
 // the worker whose cache already holds it (and a revival reclaims exactly
 // its old slice).
 //
+// A batch of cold cells leaves as one sub-stream per owning worker: an
+// experiment request naming the worker's cells as a subset of the batch's
+// cross product, the same request a client makes for a whole experiment.
+//
 // Health is tracked two ways: a background prober GETs every worker's
 // /v1/stats on a fixed cadence and flips workers dead or alive, and a
-// failed forward marks its worker dead immediately (the probe revives it
-// when it answers again). A failed forward re-shards onto the remaining
-// healthy workers; only when none remain — or the failure indicts the job
-// rather than the worker — does the caller fall back to coordinator-local
-// simulation, the universal last resort. A forward is a one-cell
-// experiment stream, the same request a client makes for a single cell.
+// failed sub-stream marks its worker dead immediately (the probe revives
+// it when it answers again). The failed sub-stream's undelivered cells
+// re-shard onto the remaining healthy workers; only when none remain — or
+// the failure indicts the jobs rather than the worker — does the caller
+// fall back to coordinator-local simulation, the universal last resort.
 // Workers are plain shadowbindingd processes without -workers of their
 // own (one forward hop — a worker never re-forwards).
 
@@ -50,10 +53,6 @@ type workerPool struct {
 	stop chan struct{} // closed by Close
 	done chan struct{} // closed when the probe loop exits
 }
-
-// errNoWorkers reports an empty healthy set — the quiet path to
-// coordinator-local simulation, costing a miss rather than a warning.
-var errNoWorkers = errors.New("farm: no healthy workers")
 
 // probeTimeout bounds one health probe; a worker that cannot answer its
 // stats endpoint this fast is not going to answer a compute request.
@@ -170,13 +169,13 @@ func rendezvousScore(url, key string) uint64 {
 }
 
 // pick returns the healthy worker with the highest rendezvous score for
-// key, skipping exclude (workers already tried this request); "" when no
-// candidate remains. Ties break on URL order so pick stays deterministic.
-func (p *workerPool) pick(key string, exclude map[string]bool) string {
+// key; "" when none is healthy. Ties break on URL order so pick stays
+// deterministic.
+func (p *workerPool) pick(key string) string {
 	var best string
 	var bestScore uint64
 	for _, w := range p.workers {
-		if !w.healthy.Load() || exclude[w.url] {
+		if !w.healthy.Load() {
 			continue
 		}
 		s := rendezvousScore(w.url, key)
@@ -187,55 +186,145 @@ func (p *workerPool) pick(key string, exclude map[string]bool) string {
 	return best
 }
 
-// compute forwards one job to its rendezvous worker, re-sharding across
-// the surviving healthy workers as failures mark workers dead. Returns
-// the worker that answered. errNoWorkers (empty healthy set, nothing
-// attempted) is the quiet miss that sends the caller to local
-// simulation; a worker's 4xx (the job, not the worker — see rejected) or
-// an exhausted healthy set after failures surfaces the last error for the
-// caller to report before falling back.
-func (p *workerPool) compute(ctx context.Context, key string, job harness.CellJob, opts harness.Options) (CellEnvelope, string, error) {
-	wire := harness.WireExperiment(job.Spec(), opts)
-	tried := make(map[string]bool)
-	var lastErr error
-	var lastWorker string
-	for {
-		url := p.pick(key, tried)
-		if url == "" {
-			if lastErr == nil {
-				return CellEnvelope{}, "", errNoWorkers
-			}
-			return CellEnvelope{}, lastWorker, lastErr
-		}
-		env, err := p.forward(ctx, url, key, wire)
-		if err == nil || rejected(err) {
-			return env, url, err
-		}
-		tried[url] = true
-		p.markDead(url, err)
-		lastErr, lastWorker = err, url
-	}
+// errWorkerIdle cancels a sub-stream whose worker sent no cell for a whole
+// WorkerTimeout.
+var errWorkerIdle = errors.New("farm: worker sent no cell within the worker timeout")
+
+// subStream is one worker's share of a batch: the request for the jobs
+// it owns under rendezvous hashing, and their keys.
+type subStream struct {
+	url  string
+	wire harness.ExperimentJobWire
+	keys map[string]bool
 }
 
-// forward streams one cell from a worker as an experiment of one, bounded
-// by the pool's timeout, and checks the streamed key against the locally
-// derived one — a worker built from different sources derives a different
-// key, and that skew must surface as an error, not as a silently adopted
-// result.
-func (p *workerPool) forward(ctx context.Context, base, key string, wire harness.ExperimentJobWire) (CellEnvelope, error) {
-	ctx, cancel := context.WithTimeout(ctx, p.timeout)
-	defer cancel()
-	var env CellEnvelope
-	n, err := NewStreamClient(base, p.client).Experiment(ctx, wire, func(got CellEnvelope) error {
-		if got.Key != key {
-			return &StreamError{Reason: "protocol",
-				Err: fmt.Errorf("farm: worker streamed key %s, want %s (version skew?)", got.Key, key)}
+// shard groups the pending jobs by rendezvous owner among the healthy
+// workers, one sub-stream each; nil when no healthy worker remains.
+func (p *workerPool) shard(jobs []harness.CellJob, keys []string, pending map[string]bool, opts harness.Options) []*subStream {
+	byURL := map[string]*subStream{}
+	owned := map[*subStream][]harness.CellJob{}
+	var out []*subStream
+	for i, j := range jobs {
+		if !pending[keys[i]] {
+			continue
 		}
-		env = got
-		return nil
-	})
-	if err == nil && n != 1 {
-		err = &StreamError{Reason: "protocol", Delivered: n, Err: fmt.Errorf("farm: worker streamed %d cells for one", n)}
+		url := p.pick(keys[i])
+		if url == "" {
+			return nil
+		}
+		ss := byURL[url]
+		if ss == nil {
+			ss = &subStream{url: url, keys: map[string]bool{}}
+			byURL[url] = ss
+			out = append(out, ss)
+		}
+		owned[ss] = append(owned[ss], j)
+		ss.keys[keys[i]] = true
 	}
-	return env, err
+	for _, ss := range out {
+		ss.wire = harness.WireJobs(owned[ss], opts)
+	}
+	return out
+}
+
+// stream runs one sub-stream, handing each streamed cell to fn. The
+// pool's timeout bounds the wait for each next cell, not the whole stream,
+// which legitimately lasts as long as the worker simulates.
+func (p *workerPool) stream(ctx context.Context, ss *subStream, fn func(CellEnvelope) error) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	idle := time.AfterFunc(p.timeout, func() { cancel(errWorkerIdle) })
+	defer idle.Stop()
+	sc := &StreamClient{base: ss.url, hc: p.client, identity: true}
+	n, err := sc.Experiment(ctx, ss.wire, func(env CellEnvelope) error {
+		idle.Reset(p.timeout)
+		return fn(env)
+	})
+	if cause := context.Cause(ctx); err != nil && errors.Is(cause, errWorkerIdle) {
+		return &StreamError{Reason: "transport", Delivered: n, Err: cause}
+	}
+	if err == nil && n != len(ss.keys) {
+		err = &StreamError{Reason: "protocol", Delivered: n,
+			Err: fmt.Errorf("farm: worker streamed %d cells for %d", n, len(ss.keys))}
+	}
+	return err
+}
+
+// poolLayer adapts the worker pool into a Resolver cache layer — the
+// slowest tier of the coordinator engine's stack. A batch is split by
+// rendezvous owner and each worker's share travels as one sub-stream, all
+// of them concurrently. A delivered cell is a cache hit whose backfill
+// adopts the worker's result into the local store. A worker that fails
+// mid-stream is marked dead and only its undelivered cells are re-sharded
+// over the survivors; a worker's 4xx indicts the jobs, not the worker, and
+// ends the batch. Whatever stays undelivered is a miss (plus an error),
+// which the engine degrades to bounded local simulation, the universal
+// fallback. Streams outlive a cancelled caller (context.WithoutCancel): a
+// client hanging up must not read as a worker failure.
+type poolLayer struct{ s *Server }
+
+func (pl *poolLayer) Get(string) (harness.Run, bool, error) { return harness.Run{}, false, nil }
+func (pl *poolLayer) Put(string, harness.Run) error         { return nil }
+
+func (pl *poolLayer) Resolve(ctx context.Context, jobs []harness.CellJob, keys []string, opts harness.Options, deliver func(string, harness.Run)) (int, error) {
+	ctx = context.WithoutCancel(ctx)
+	pending := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		pending[k] = true
+	}
+	var (
+		mu        sync.Mutex // serializes deliver and the bookkeeping below
+		delivered int
+		lastErr   error
+		rejection error
+	)
+	for len(pending) > 0 {
+		shards := pl.s.pool.shard(jobs, keys, pending, opts)
+		if shards == nil {
+			return delivered, lastErr // nil when nothing failed: a quiet miss
+		}
+		failed := false
+		var wg sync.WaitGroup
+		for _, ss := range shards {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := pl.s.pool.stream(ctx, ss, func(env CellEnvelope) error {
+					mu.Lock()
+					defer mu.Unlock()
+					if !ss.keys[env.Key] || !pending[env.Key] {
+						return &StreamError{Reason: "protocol",
+							Err: fmt.Errorf("farm: worker streamed key %s outside its sub-stream (version skew?)", env.Key)}
+					}
+					delete(pending, env.Key)
+					delivered++
+					pl.s.forwarded.Add(1)
+					deliver(env.Key, env.Run)
+					return nil
+				})
+				if err == nil {
+					pl.s.log.Info("forwarded", "worker", ss.url, "cells", len(ss.keys))
+					return
+				}
+				pl.s.workerErrs.Add(1)
+				pl.s.log.Warn("worker sub-stream failed", "worker", ss.url, "cells", len(ss.keys), "err", err)
+				mu.Lock()
+				defer mu.Unlock()
+				if rejected(err) {
+					rejection = err
+					return
+				}
+				pl.s.pool.markDead(ss.url, err)
+				lastErr, failed = err, true
+			}()
+		}
+		wg.Wait()
+		if rejection != nil {
+			return delivered, rejection
+		}
+		if !failed {
+			break
+		}
+	}
+	return delivered, nil
 }

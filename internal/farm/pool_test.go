@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -149,7 +150,7 @@ func TestWorkerRejectionIsPermanent(t *testing.T) {
 	var job harness.CellJob
 	for _, b := range []string{"505.mcf", "502.gcc", "520.omnetpp", "541.leela"} {
 		for _, k := range []core.SchemeKind{core.KindBaseline, core.KindSTTRename, core.KindNDA} {
-			if j := testJob(t, b, k); job.Bench.Name == "" && owner.pick(harness.CellKey(j, opts), nil) == stub.URL {
+			if j := testJob(t, b, k); job.Bench.Name == "" && owner.pick(harness.CellKey(j, opts)) == stub.URL {
 				job = j
 			}
 		}
@@ -190,8 +191,8 @@ func TestPoolSharding(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("%016x", i*2654435761)
-		u := p.pick(key, nil)
-		if u != p.pick(key, nil) {
+		u := p.pick(key)
+		if u != p.pick(key) {
 			t.Fatalf("pick not deterministic for %s", key)
 		}
 		seen[u] = true
@@ -219,7 +220,7 @@ func TestPoolRendezvousMinimalDisruption(t *testing.T) {
 	owned := 0
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("%016x", i*2654435761)
-		before[key] = p.pick(key, nil)
+		before[key] = p.pick(key)
 		if before[key] == "http://b" {
 			owned++
 		}
@@ -231,7 +232,7 @@ func TestPoolRendezvousMinimalDisruption(t *testing.T) {
 	p.markDead("http://b", fmt.Errorf("test"))
 	moved := map[string]int{}
 	for key, prev := range before {
-		now := p.pick(key, nil)
+		now := p.pick(key)
 		if now == "http://b" {
 			t.Fatalf("dead worker still picked for %s", key)
 		}
@@ -251,55 +252,121 @@ func TestPoolRendezvousMinimalDisruption(t *testing.T) {
 // TestWorkerDeathReshards: the end-to-end re-shard contract — with one of
 // two workers dead, every cell (including the dead worker's slice) is
 // computed by the survivor, and the coordinator never simulates locally.
+// A worker dead before any traffic costs one failed forward; a worker that
+// dies mid-sub-stream keeps the cells it already streamed, and only its
+// undelivered cells are re-sent to the survivor.
 func TestWorkerDeathReshards(t *testing.T) {
-	w1, ts1 := newTestFarm(t, ServerConfig{})
-	_, ts2 := newTestFarm(t, ServerConfig{})
-	coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{ts1.URL, ts2.URL}})
+	t.Run("dead before traffic", func(t *testing.T) {
+		w1, ts1 := newTestFarm(t, ServerConfig{})
+		_, ts2 := newTestFarm(t, ServerConfig{})
+		coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{ts1.URL, ts2.URL}})
 
-	// Kill worker 2 before any traffic: its slice must re-shard onto
-	// worker 1 via passive failure detection, at the cost of exactly one
-	// failed forward (the first key that picks it).
-	ts2.Close()
+		// Kill worker 2 before any traffic: its slice must re-shard onto
+		// worker 1 via passive failure detection, at the cost of exactly one
+		// failed forward (the first key that picks it).
+		ts2.Close()
 
-	opts := testOpts()
-	benches := []string{"505.mcf", "502.gcc", "520.omnetpp", "541.leela"}
-	c := fastClient(tsc.URL, true)
-	for _, b := range benches {
-		for _, k := range []core.SchemeKind{core.KindBaseline, core.KindNDA} {
-			job := testJob(t, b, k)
-			key := keyOf(job, opts)
-			run, ok, err := computeCell(c, job, opts)
-			if err != nil || !ok {
-				t.Fatalf("cell %s: ok=%v err=%v", key, ok, err)
-			}
-			if !reflect.DeepEqual(run, refRun(t, job, opts)) {
-				t.Fatalf("cell %s diverges after re-shard", key)
+		opts := testOpts()
+		benches := []string{"505.mcf", "502.gcc", "520.omnetpp", "541.leela"}
+		c := fastClient(tsc.URL, true)
+		for _, b := range benches {
+			for _, k := range []core.SchemeKind{core.KindBaseline, core.KindNDA} {
+				job := testJob(t, b, k)
+				key := keyOf(job, opts)
+				run, ok, err := computeCell(c, job, opts)
+				if err != nil || !ok {
+					t.Fatalf("cell %s: ok=%v err=%v", key, ok, err)
+				}
+				if !reflect.DeepEqual(run, refRun(t, job, opts)) {
+					t.Fatalf("cell %s diverges after re-shard", key)
+				}
 			}
 		}
-	}
 
-	cs, s1 := coord.Stats(), w1.Stats()
-	if cs.EngineSimulated != 0 {
-		t.Fatalf("coordinator simulated despite a healthy survivor: %+v", cs)
-	}
-	if s1.EngineSimulated != 8 {
-		t.Fatalf("survivor simulated %d of 8 cells", s1.EngineSimulated)
-	}
-	if cs.Forwarded != 8 {
-		t.Fatalf("forwarded %d of 8 cells: %+v", cs.Forwarded, cs)
-	}
-	// Passive detection pays the dead worker at most one failed forward
-	// (zero if the first keys all rendezvous onto the survivor).
-	if cs.WorkerErrors > 1 {
-		t.Fatalf("dead worker charged per key, not once: %+v", cs)
-	}
-	var deadSeen bool
-	for _, w := range cs.Workers {
-		if w.URL == ts2.URL && !w.Healthy {
-			deadSeen = true
+		cs, s1 := coord.Stats(), w1.Stats()
+		if cs.EngineSimulated != 0 {
+			t.Fatalf("coordinator simulated despite a healthy survivor: %+v", cs)
 		}
-	}
-	if cs.WorkerErrors == 1 && !deadSeen {
-		t.Fatalf("failed worker not marked dead in stats: %+v", cs.Workers)
-	}
+		if s1.EngineSimulated != 8 {
+			t.Fatalf("survivor simulated %d of 8 cells", s1.EngineSimulated)
+		}
+		if cs.Forwarded != 8 {
+			t.Fatalf("forwarded %d of 8 cells: %+v", cs.Forwarded, cs)
+		}
+		// Passive detection pays the dead worker at most one failed forward
+		// (zero if the first keys all rendezvous onto the survivor).
+		if cs.WorkerErrors > 1 {
+			t.Fatalf("dead worker charged per key, not once: %+v", cs)
+		}
+		var deadSeen bool
+		for _, w := range cs.Workers {
+			if w.URL == ts2.URL && !w.Healthy {
+				deadSeen = true
+			}
+		}
+		if cs.WorkerErrors == 1 && !deadSeen {
+			t.Fatalf("failed worker not marked dead in stats: %+v", cs.Workers)
+		}
+	})
+
+	t.Run("killed mid-sub-stream", func(t *testing.T) {
+		opts := testOpts()
+		spec := streamSpec(t)
+		spec.Schemes = core.SchemeKinds()
+		spec.Benches = append(spec.Benches, testJob(t, "502.gcc", core.KindBaseline).Bench, testJob(t, "541.leela", core.KindBaseline).Bench)
+		var keys []string
+		for _, cfg := range spec.Configs {
+			for _, k := range spec.Schemes {
+				for _, b := range spec.Benches {
+					keys = append(keys, keyOf(harness.CellJob{Config: cfg, Scheme: k, Bench: b}, opts))
+				}
+			}
+		}
+
+		w1, ts1 := newTestFarm(t, ServerConfig{})
+		w2 := NewServer(ServerConfig{})
+		t.Cleanup(w2.Close)
+		// Worker 2 sits behind a proxy that cuts its sub-stream off after
+		// half of its cells — a worker dying mid-stream. Its share is known
+		// up front: rendezvous placement depends only on URLs and keys.
+		var kept atomic.Int64 // cells the proxy lets through
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			truncating(w2.Handler(), 1+int(kept.Load()), nil).ServeHTTP(w, r)
+		}))
+		t.Cleanup(proxy.Close)
+		owner := newWorkerPool([]string{ts1.URL, proxy.URL}, 0, -1, nil)
+		defer owner.Close()
+		owned := 0
+		for _, k := range keys {
+			if owner.pick(k) == proxy.URL {
+				owned++
+			}
+		}
+		if owned < 2 {
+			t.Fatalf("worker 2 owns %d of %d cells; the test needs at least 2", owned, len(keys))
+		}
+		kept.Store(int64(owned / 2))
+
+		// Probing off: nothing may revive the cut-off worker.
+		coord, tsc := newTestFarm(t, ServerConfig{Workers: []string{ts1.URL, proxy.URL}, ProbeInterval: -1})
+		got, err := remoteSession(t, tsc.URL, spec).Matrix(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matricesEqual(t, got, localMatrix(t, spec), spec)
+
+		cs, s1, s2 := coord.Stats(), w1.Stats(), w2.Stats()
+		if cs.EngineSimulated != 0 || cs.WorkerErrors != 1 || cs.Forwarded != int64(len(keys)) {
+			t.Fatalf("coordinator: %+v, want 0 simulated, 1 worker error, %d forwarded", cs, len(keys))
+		}
+		if s2.Experiments != 1 {
+			t.Fatalf("dead worker asked %d times, want once", s2.Experiments)
+		}
+		// The survivor got its own sub-stream plus one re-shard carrying
+		// exactly the cells worker 2 never delivered.
+		if want := int64(len(keys)) - kept.Load(); s1.Experiments != 2 || s1.EngineCells != want {
+			t.Fatalf("survivor: %d requests for %d cells, want 2 requests for %d (only the undelivered re-sent)",
+				s1.Experiments, s1.EngineCells, want)
+		}
+	})
 }

@@ -12,7 +12,8 @@
 //	                       400 key not 32 lowercase hex digits
 //	PUT  /v1/cells/{key}   remote cache write: 204 | 400 bad key or envelope
 //	POST /v1/experiments   compute an experiment: body is a
-//	                       harness.ExperimentJobWire; the server resolves
+//	                       harness.ExperimentJobWire (optionally naming a
+//	                       subset of its cells); the server resolves
 //	                       every cell through its own engine (cache first,
 //	                       fleet-wide single-flight, then worker forward or
 //	                       simulation) and answers with an NDJSON stream —
@@ -23,15 +24,16 @@
 //	GET  /v1/stats         farm counters as JSON (Stats, self-identified
 //	                       by its schema field)
 //
-// There is one compute route: a single cell is an experiment of one
-// (harness.CellJob.Spec), which is how a client resolves a lone miss and
-// how a coordinator forwards a cell to its worker.
+// There is one compute route: a single cell is an experiment of one,
+// which is how a client resolves a lone miss, and a coordinator forwards a
+// cold experiment as one sub-stream per worker, each naming the worker's
+// cells as a subset of the experiment.
 //
 // Cell and stream bodies support gzip content negotiation in both
 // directions (Content-Encoding on requests, Accept-Encoding/
 // Content-Encoding on responses) — million-cycle traced cells compress
-// well, and streams flush per line either way so the stream doubles as a
-// progress feed.
+// well. A stream flushes whenever it has written every cell completed so
+// far, compressed or not, so the stream doubles as a progress feed.
 //
 // Keys are the engine's content-addressed cell fingerprints, 32 lowercase
 // hex digits; the server answers 400 to any other key before its store
@@ -50,6 +52,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -211,35 +214,76 @@ func gzipAccepted(h http.Header) bool {
 	return strings.Contains(h.Get("Accept-Encoding"), "gzip")
 }
 
-// requestBody returns r's body bounded to maxBodyBytes, transparently
-// decompressing a gzip Content-Encoding. The bound applies to the
-// *decompressed* bytes too, so a compression bomb cannot expand past the
-// same limit a plain body has.
-func requestBody(w http.ResponseWriter, r *http.Request) (io.Reader, error) {
-	var rd io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(rd)
-		if err != nil {
-			return nil, fmt.Errorf("farm: gzip request body: %w", err)
-		}
-		rd = io.LimitReader(gz, maxBodyBytes)
+// gzip codecs are pooled: a fresh gzip.Writer allocates its whole flate
+// state (about 800 KB), which dwarfs the few-KiB bodies and stream lines
+// the farm compresses. Reset writers emit exactly the bytes fresh ones do.
+var (
+	gzipWriters sync.Pool // *gzip.Writer
+	gzipReaders sync.Pool // *gzip.Reader
+)
+
+// getGzipWriter returns a pooled writer compressing into w.
+func getGzipWriter(w io.Writer) *gzip.Writer {
+	if gz, ok := gzipWriters.Get().(*gzip.Writer); ok {
+		gz.Reset(w)
+		return gz
 	}
-	return rd, nil
+	return gzip.NewWriter(w)
 }
 
-// maybeGunzip wraps a response body when the server negotiated gzip.
-// Callers bound their own reads (decodeEnvelope's limit, the stream
-// reader's per-line cap), so no total limit is imposed here — an
-// experiment stream is legitimately larger than any single body.
-func maybeGunzip(resp *http.Response) (io.Reader, error) {
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		return resp.Body, nil
+// putGzipWriter returns a closed writer to the pool.
+func putGzipWriter(gz *gzip.Writer) {
+	gz.Reset(nil) // drop the reference to the finished destination
+	gzipWriters.Put(gz)
+}
+
+// getGzipReader returns a pooled reader decompressing r, with the function
+// that returns it to the pool once the caller has finished reading.
+func getGzipReader(r io.Reader) (*gzip.Reader, func(), error) {
+	gz, ok := gzipReaders.Get().(*gzip.Reader)
+	if !ok {
+		gz = new(gzip.Reader) // Reset below is all gzip.NewReader does
 	}
-	gz, err := gzip.NewReader(resp.Body)
+	if err := gz.Reset(r); err != nil {
+		gzipReaders.Put(gz)
+		return nil, nil, err
+	}
+	return gz, func() { gzipReaders.Put(gz) }, nil
+}
+
+func noRelease() {}
+
+// requestBody returns r's body bounded to maxBodyBytes, transparently
+// decompressing a gzip Content-Encoding, and the function that releases
+// the decompressor once the body has been read. The bound applies to the
+// *decompressed* bytes too, so a compression bomb cannot expand past the
+// same limit a plain body has.
+func requestBody(w http.ResponseWriter, r *http.Request) (io.Reader, func(), error) {
+	var rd io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if r.Header.Get("Content-Encoding") != "gzip" {
+		return rd, noRelease, nil
+	}
+	gz, release, err := getGzipReader(rd)
 	if err != nil {
-		return nil, fmt.Errorf("farm: gzip response body: %w", err)
+		return nil, nil, fmt.Errorf("farm: gzip request body: %w", err)
 	}
-	return gz, nil
+	return io.LimitReader(gz, maxBodyBytes), release, nil
+}
+
+// maybeGunzip wraps a response body when the server negotiated gzip, and
+// returns the function that releases the decompressor once the body has
+// been read. Callers bound their own reads (decodeEnvelope's limit, the
+// stream reader's per-line cap), so no total limit is imposed here — an
+// experiment stream is legitimately larger than any single body.
+func maybeGunzip(resp *http.Response) (io.Reader, func(), error) {
+	if resp.Header.Get("Content-Encoding") != "gzip" {
+		return resp.Body, noRelease, nil
+	}
+	gz, release, err := getGzipReader(resp.Body)
+	if err != nil {
+		return nil, nil, fmt.Errorf("farm: gzip response body: %w", err)
+	}
+	return gz, release, nil
 }
 
 // maybeGzip compresses a request body when it is worth it, returning the
@@ -250,9 +294,11 @@ func maybeGzip(body []byte) ([]byte, string) {
 		return body, ""
 	}
 	var buf bytes.Buffer
-	gz := gzip.NewWriter(&buf)
+	gz := getGzipWriter(&buf)
 	gz.Write(body) //nolint:errcheck // bytes.Buffer writes cannot fail
-	if err := gz.Close(); err != nil || buf.Len() >= len(body) {
+	err := gz.Close()
+	putGzipWriter(gz)
+	if err != nil || buf.Len() >= len(body) {
 		return body, ""
 	}
 	return buf.Bytes(), "gzip"

@@ -2,7 +2,6 @@ package farm
 
 import (
 	"compress/gzip"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,15 +24,17 @@ type ServerConfig struct {
 	// private in-memory LRU (the facade's OpenCache with a Dir persists).
 	Cache harness.CellCache
 	// Workers lists worker base URLs ("http://host:port"); when non-empty,
-	// cold compute requests are rendezvous-sharded across the healthy
-	// subset, re-sharding around dead workers and falling back to local
+	// the cold cells of a request are rendezvous-sharded across the
+	// healthy subset and forwarded as one sub-stream per worker,
+	// re-sharding around dead workers and falling back to local
 	// simulation only when no healthy worker remains.
 	Workers []string
 	// Parallelism bounds concurrent local simulations (zero: all CPUs).
 	// Cache hits, coalesced waiters, and worker forwards are never bounded
 	// by it.
 	Parallelism int
-	// WorkerTimeout bounds one forwarded cell (zero: 5m).
+	// WorkerTimeout bounds the wait for a worker's next streamed cell
+	// (zero: 5m); a worker silent for longer is treated as dead.
 	WorkerTimeout time.Duration
 	// ProbeInterval is the worker health-probe cadence (zero: 2s;
 	// negative: probing disabled — passive failure detection only, so a
@@ -175,6 +176,8 @@ func (s *Server) logged(h http.Handler) http.Handler {
 }
 
 // loggingWriter captures the response status for the request log.
+// Unwrap exposes the wrapped writer to http.ResponseController, so streams
+// can still flush through it.
 type loggingWriter struct {
 	http.ResponseWriter
 	status int
@@ -185,42 +188,7 @@ func (w *loggingWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// poolLayer adapts the worker pool into a Resolver cache layer — the
-// slowest tier of the coordinator engine's stack. Each cell of a spec is
-// forwarded to its rendezvous owner; a delivered cell is a cache hit
-// whose backfill adopts the worker's result into the local store, and a
-// forward failure is a miss plus an error, which the engine degrades to
-// bounded local simulation, the universal fallback. Forwards outlive a
-// cancelled caller (context.WithoutCancel): a client hanging up must not
-// read as a worker failure.
-type poolLayer struct{ s *Server }
-
-func (pl *poolLayer) Get(string) (harness.Run, bool, error) { return harness.Run{}, false, nil }
-func (pl *poolLayer) Put(string, harness.Run) error         { return nil }
-
-func (pl *poolLayer) Resolve(ctx context.Context, spec harness.MatrixSpec, opts harness.Options, deliver func(string, harness.Run)) (int, error) {
-	jobs, wopts, err := harness.WireExperiment(spec, opts).Resolve()
-	if err != nil {
-		return 0, err
-	}
-	ctx = context.WithoutCancel(ctx)
-	for i, job := range jobs {
-		key := harness.CellKey(job, wopts)
-		env, worker, err := pl.s.pool.compute(ctx, key, job, wopts)
-		if errors.Is(err, errNoWorkers) {
-			return i, nil // quiet miss: simulate locally
-		}
-		if err != nil {
-			pl.s.workerErrs.Add(1)
-			pl.s.log.Warn("worker compute failed; simulating locally", "key", key, "worker", worker, "err", err)
-			return i, err
-		}
-		pl.s.forwarded.Add(1)
-		pl.s.log.Info("forwarded", "key", key, "worker", worker, "cached", env.Cached)
-		deliver(key, env.Run)
-	}
-	return len(jobs), nil
-}
+func (w *loggingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // canonicalKey reports whether key has the form harness.CellFingerprint
 // emits: 32 lowercase hex digits. The store maps keys to file names, so
@@ -268,11 +236,12 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "farm: malformed cell key %q", key)
 		return
 	}
-	body, err := requestBody(w, r)
+	body, release, err := requestBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	defer release()
 	env, err := decodeEnvelope(body, key)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
@@ -290,18 +259,20 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 // handleExperiment resolves a whole experiment, streaming cells back as
 // NDJSON in completion order: one header line, one envelope per unique
 // cell the moment the engine's subscription reports it, one trailer line.
-// The response flushes per line — the stream doubles as a progress feed —
-// and a client disconnect cancels the remaining work through the request
-// context.
+// The response flushes as soon as every completed cell is written — the
+// stream doubles as a progress feed — and a client disconnect cancels the
+// remaining work through the request context.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	s.experiments.Add(1)
-	body, err := requestBody(w, r)
+	body, release, err := requestBody(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	var wire harness.ExperimentJobWire
-	if err := json.NewDecoder(body).Decode(&wire); err != nil {
+	err = json.NewDecoder(body).Decode(&wire)
+	release()
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "farm: decode experiment: %v", err)
 		return
 	}
@@ -313,13 +284,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if len(jobs) == 1 {
 		s.computes.Add(1)
 	}
-	opts.Progress = s.engineLog
-	opts.Parallelism = s.experimentParallelism()
+	opts.Progress = s.engineLog // Parallelism stays 0: all CPUs
 
 	// Dedupe by key so the header's cell count and the one-line-per-key
 	// contract hold even when a spec enumerates one cell twice.
 	pending := make(map[string]bool, len(jobs))
-	unique := make([]harness.CellJob, 0, len(jobs))
+	unique := jobs[:0] // filtered in place
 	for _, j := range jobs {
 		k := s.engine.Key(j, opts)
 		if pending[k] {
@@ -370,19 +340,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// experimentParallelism sizes RunCells for an experiment request: all
-// CPUs locally, widened when forwarding so every worker stays busy (their
-// own simulation gates bound the real load).
-func (s *Server) experimentParallelism() int {
-	n := runtime.NumCPU()
-	if s.pool != nil {
-		if m := 4 * len(s.pool.workers); m > n {
-			n = m
-		}
-	}
-	return n
-}
-
 // engineLog routes harness warnings (cache read/write failures, progress)
 // into the structured log instead of dropping them.
 func (s *Server) engineLog(format string, args ...any) {
@@ -401,8 +358,11 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	var out io.Writer = w
 	if gzipAccepted(r.Header) {
 		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
+		gz := getGzipWriter(w)
+		defer func() {
+			gz.Close() //nolint:errcheck // the status line is out; a failed write has nowhere to go
+			putGzipWriter(gz)
+		}()
 		out = gz
 	}
 	if err := json.NewEncoder(out).Encode(v); err != nil {
@@ -415,13 +375,15 @@ func (s *Server) encodeJSON(w http.ResponseWriter, r *http.Request, v any) {
 // dedicated drain goroutine, so the engine subscriber that enqueues lines
 // never blocks on a slow consumer — it is called under the engine's
 // emission lock, and stalling there would stall every in-flight request's
-// progress. Lines are gzip-compressed when negotiated and flushed
-// individually; after a write failure (client gone) the queue keeps
-// draining without writing, and close reports the first failure.
+// progress. Lines are gzip-compressed when negotiated. The drain writes
+// whatever has queued and flushes once the queue is empty: a lone cell
+// leaves at once, while a burst shares one flush instead of paying one per
+// line. After a write failure (client gone) the queue keeps draining
+// without writing, and close reports the first failure.
 type streamWriter struct {
 	out io.Writer
 	gz  *gzip.Writer // nil without negotiation
-	fl  http.Flusher // nil when unavailable
+	rc  *http.ResponseController
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -433,16 +395,15 @@ type streamWriter struct {
 
 func newStreamWriter(w http.ResponseWriter, compress bool) *streamWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sw := &streamWriter{done: make(chan struct{})}
+	sw := &streamWriter{done: make(chan struct{}), rc: http.NewResponseController(w)}
 	sw.cond = sync.NewCond(&sw.mu)
 	if compress {
 		w.Header().Set("Content-Encoding", "gzip")
-		sw.gz = gzip.NewWriter(w)
+		sw.gz = getGzipWriter(w)
 		sw.out = sw.gz
 	} else {
 		sw.out = w
 	}
-	sw.fl, _ = w.(http.Flusher)
 	go sw.drain()
 	return sw
 }
@@ -453,6 +414,7 @@ func (sw *streamWriter) enqueue(v any) {
 	if err != nil {
 		return // wire types always marshal
 	}
+	line = append(line, '\n')
 	sw.mu.Lock()
 	if !sw.closed {
 		sw.queue = append(sw.queue, line)
@@ -468,37 +430,44 @@ func (sw *streamWriter) drain() {
 		for len(sw.queue) == 0 && !sw.closed {
 			sw.cond.Wait()
 		}
-		if len(sw.queue) == 0 {
-			sw.mu.Unlock()
-			return // closed and fully drained
-		}
-		line := sw.queue[0]
-		sw.queue = sw.queue[1:]
+		lines := sw.queue
+		sw.queue = nil
 		failed := sw.err != nil
 		sw.mu.Unlock()
+		if len(lines) == 0 {
+			return // closed and fully drained
+		}
 		if failed {
 			continue // client gone: keep draining, stop writing
 		}
-		if _, err := sw.out.Write(append(line, '\n')); err != nil {
+		err := sw.write(lines)
+		if err != nil {
 			sw.mu.Lock()
 			if sw.err == nil {
 				sw.err = err
 			}
 			sw.mu.Unlock()
-			continue
 		}
-		sw.flush()
 	}
 }
 
-// flush pushes the line through the gzip framing and out to the client.
-func (sw *streamWriter) flush() {
+// write sends one batch of lines and flushes it through the gzip framing
+// and out to the client.
+func (sw *streamWriter) write(lines [][]byte) error {
+	for _, line := range lines {
+		if _, err := sw.out.Write(line); err != nil {
+			return err
+		}
+	}
 	if sw.gz != nil {
-		sw.gz.Flush() //nolint:errcheck // a failed flush surfaces on the next write
+		if err := sw.gz.Flush(); err != nil {
+			return err
+		}
 	}
-	if sw.fl != nil {
-		sw.fl.Flush()
+	if err := sw.rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		return err
 	}
+	return nil
 }
 
 // close drains the queue, finishes the gzip stream, and reports the first
@@ -510,7 +479,9 @@ func (sw *streamWriter) close() error {
 	sw.mu.Unlock()
 	<-sw.done
 	if sw.gz != nil {
-		if err := sw.gz.Close(); err != nil {
+		err := sw.gz.Close()
+		putGzipWriter(sw.gz)
+		if err != nil {
 			sw.mu.Lock()
 			if sw.err == nil {
 				sw.err = err

@@ -57,6 +57,11 @@ func rejected(err error) bool {
 type StreamClient struct {
 	base string
 	hc   *http.Client
+	// identity asks for an uncompressed stream. A coordinator reads its
+	// workers' sub-streams this way: a flate compressor per sub-stream,
+	// held on the worker for the whole sub-stream, costs more memory and
+	// CPU than it saves on the coordinator's local network.
+	identity bool
 }
 
 // NewStreamClient returns a stream client for the daemon at baseURL
@@ -90,7 +95,11 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 	if encoding != "" {
 		req.Header.Set("Content-Encoding", encoding)
 	}
-	req.Header.Set("Accept-Encoding", "gzip")
+	if c.identity {
+		req.Header.Set("Accept-Encoding", "identity")
+	} else {
+		req.Header.Set("Accept-Encoding", "gzip")
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return 0, &StreamError{Reason: "transport", Err: err}
@@ -101,10 +110,11 @@ func (c *StreamClient) Experiment(ctx context.Context, wire harness.ExperimentJo
 		return 0, &StreamError{Reason: "server", Status: resp.StatusCode,
 			Err: fmt.Errorf("farm: experiment: %s: %s", resp.Status, bytes.TrimSpace(msg))}
 	}
-	rd, err := maybeGunzip(resp)
+	rd, release, err := maybeGunzip(resp)
 	if err != nil {
 		return 0, &StreamError{Reason: "protocol", Err: err}
 	}
+	defer release()
 	return c.consume(rd, fn)
 }
 

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,11 +113,11 @@ func TestExperimentStreamEndToEnd(t *testing.T) {
 	if st.EngineSimulated != 4 {
 		t.Fatalf("farm simulated %d of 4 cells: %+v", st.EngineSimulated, st)
 	}
-	// The stream warmed the client's local layers: the per-cell walk that
-	// assembled the matrix was all hits, no local simulation.
+	// Every cell reached the client through the stream: all hits, no
+	// local simulation.
 	cs := sess.Stats()
 	if cs.Simulated != 0 || cs.Hits != cs.Cells {
-		t.Fatalf("client walk was not all-hits after the stream: %+v", cs)
+		t.Fatalf("client cells were not all served by the stream: %+v", cs)
 	}
 	if st.Latency["experiments"].Count == 0 {
 		t.Fatalf("experiment latency unobserved: %+v", st.Latency)
@@ -130,7 +131,14 @@ func TestExperimentStreamEndToEnd(t *testing.T) {
 // can lose what the dead farm never got to stream.
 func truncatingProxy(t *testing.T, inner http.Handler, keepLines int, forget func(key string)) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(truncating(inner, keepLines, forget))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// truncating is truncatingProxy's handler.
+func truncating(inner http.Handler, keepLines int, forget func(key string)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != ExperimentsPath {
 			inner.ServeHTTP(w, r)
 			return
@@ -152,9 +160,7 @@ func truncatingProxy(t *testing.T, inner http.Handler, keepLines int, forget fun
 		}
 		// Returning without the trailer ends the chunked body cleanly:
 		// the client sees EOF where the trailer should be.
-	}))
-	t.Cleanup(ts.Close)
-	return ts
+	})
 }
 
 // forgetfulStore is a farm store whose forgotten keys read as misses
@@ -353,6 +359,103 @@ func TestStreamSlowConsumer(t *testing.T) {
 	}
 }
 
+// gatedStore lets the first store read through at once and holds every
+// later one until release is closed, so an experiment cannot finish
+// before the test lets it.
+type gatedStore struct {
+	harness.CellCache
+	reads   atomic.Int64
+	release chan struct{}
+}
+
+func (s *gatedStore) Get(key string) (harness.Run, bool, error) {
+	if s.reads.Add(1) > 1 {
+		<-s.release
+	}
+	return s.CellCache.Get(key)
+}
+
+// TestStreamFlushesFirstCell: through the full handler stack — request
+// logging included — a client must read the first cell of a compressed
+// experiment stream while the experiment is still running, not once a
+// buffer fills or the stream ends.
+func TestStreamFlushesFirstCell(t *testing.T) {
+	store := &gatedStore{CellCache: harness.NewMemoryCache(0), release: make(chan struct{})}
+	srv, ts := newTestFarm(t, ServerConfig{Cache: store})
+	released := false
+	release := func() {
+		if !released {
+			close(store.release)
+			released = true
+		}
+	}
+	defer release() // runs before any deferred body drain: the stream ends only once released
+	body, err := json.Marshal(harness.WireExperiment(streamSpec(t), testOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+ExperimentsPath, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	hc := &http.Client{Transport: &http.Transport{DisableCompression: true}}
+
+	// Read the header and the first cell; without a flush even the
+	// response headers stay buffered on the server.
+	var lines *bufio.Reader
+	first := make(chan error, 1)
+	go func() {
+		resp, err := hc.Do(req)
+		if err != nil {
+			first <- err
+			return
+		}
+		if enc := resp.Header.Get("Content-Encoding"); enc != "gzip" {
+			first <- fmt.Errorf("stream Content-Encoding %q, want gzip", enc)
+			return
+		}
+		gz, err := gzip.NewReader(resp.Body)
+		if err != nil {
+			first <- err
+			return
+		}
+		lines = bufio.NewReader(gz)
+		for _, want := range []string{StreamHeaderSchema, Schema} {
+			line, err := lines.ReadBytes('\n')
+			if err != nil {
+				first <- err
+				return
+			}
+			var probe struct{ Schema string }
+			if err := json.Unmarshal(line, &probe); err != nil || probe.Schema != want {
+				first <- fmt.Errorf("line %q: schema %q, want %q (err %v)", line, probe.Schema, want, err)
+				return
+			}
+		}
+		first <- nil
+	}()
+	select {
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("first cell not delivered while the experiment runs: the stream is not flushed")
+	}
+	if st := srv.Stats(); st.InFlight != 1 || st.StreamedCells != 1 {
+		t.Fatalf("first cell read after the experiment moved on: %+v", st)
+	}
+	release()
+	rest, err := io.ReadAll(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(rest, []byte("\n")); n != 3+1 {
+		t.Fatalf("rest of the stream has %d lines, want 3 cells and the trailer", n)
+	}
+}
+
 // TestStreamConsumerAbort: an fn error must abort the stream and come back
 // exactly as returned, not wrapped into a protocol failure.
 func TestStreamConsumerAbort(t *testing.T) {
@@ -425,10 +528,11 @@ func TestGzipNegotiation(t *testing.T) {
 	if enc := gresp.Header.Get("Content-Encoding"); enc != "gzip" {
 		t.Fatalf("negotiated response not gzipped: %q", enc)
 	}
-	rd, err := maybeGunzip(gresp)
+	rd, release, err := maybeGunzip(gresp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	env, err := decodeEnvelope(rd, key)
 	if err != nil {
 		t.Fatal(err)
@@ -456,19 +560,19 @@ func TestGzipNegotiation(t *testing.T) {
 }
 
 // TestGzipStreamNegotiation: the experiment stream itself compresses when
-// negotiated and still flushes per line — the first cells decode before
-// the stream ends — while a one-cell stream ships identity regardless.
+// negotiated, while a one-cell stream ships identity regardless.
 func TestGzipStreamNegotiation(t *testing.T) {
 	_, ts := newTestFarm(t, ServerConfig{})
 	hc := &http.Client{Transport: &http.Transport{DisableCompression: true}}
 	for _, tc := range []struct {
-		spec harness.MatrixSpec
-		enc  string
+		wire  harness.ExperimentJobWire
+		cells int
+		enc   string
 	}{
-		{streamSpec(t), "gzip"},
-		{testJob(t, "505.mcf", core.KindNDA).Spec(), ""},
+		{harness.WireExperiment(streamSpec(t), testOpts()), 4, "gzip"},
+		{harness.WireJobs([]harness.CellJob{testJob(t, "505.mcf", core.KindNDA)}, testOpts()), 1, ""},
 	} {
-		body, err := json.Marshal(harness.WireExperiment(tc.spec, testOpts()))
+		body, err := json.Marshal(tc.wire)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,15 +588,16 @@ func TestGzipStreamNegotiation(t *testing.T) {
 		}
 		defer drainClose(resp.Body)
 		if enc := resp.Header.Get("Content-Encoding"); enc != tc.enc {
-			t.Fatalf("%s: stream Content-Encoding %q, want %q", tc.spec.Name, enc, tc.enc)
+			t.Fatalf("%s: stream Content-Encoding %q, want %q", tc.wire.Name, enc, tc.enc)
 		}
-		rd, err := maybeGunzip(resp)
+		rd, release, err := maybeGunzip(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n, err := NewStreamClient(ts.URL, nil).consume(rd, func(CellEnvelope) error { return nil })
-		if want := len(tc.spec.Configs) * len(tc.spec.Schemes) * len(tc.spec.Benches); err != nil || n != want {
-			t.Fatalf("%s: n=%d err=%v, want %d cells", tc.spec.Name, n, err, want)
+		release()
+		if err != nil || n != tc.cells {
+			t.Fatalf("%s: n=%d err=%v, want %d cells", tc.wire.Name, n, err, tc.cells)
 		}
 	}
 }
@@ -518,6 +623,29 @@ func TestMaybeGzipThreshold(t *testing.T) {
 	round, err := io.ReadAll(rd)
 	if err != nil || !bytes.Equal(round, big) {
 		t.Fatalf("gzip round trip: err=%v", err)
+	}
+}
+
+// TestMaybeGzipReusesCodec: compressing a request body reuses a pooled
+// gzip writer instead of allocating a fresh one (about 800 KB of flate
+// state and 20 allocations) per body, and the reused writer emits exactly
+// the bytes a fresh one does. The bound leaves room for the race
+// detector, under which sync.Pool drops a quarter of its puts.
+func TestMaybeGzipReusesCodec(t *testing.T) {
+	big := []byte(strings.Repeat(`{"cell":"repetitive json compresses"},`, 200))
+	var fresh bytes.Buffer
+	gz := gzip.NewWriter(&fresh)
+	gz.Write(big) //nolint:errcheck // bytes.Buffer writes cannot fail
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for range 3 { // the first call may build the writer, later ones reuse it
+		if payload, _ := maybeGzip(big); !bytes.Equal(payload, fresh.Bytes()) {
+			t.Fatal("pooled gzip writer output differs from a fresh writer's")
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { maybeGzip(big) }); n > 10 {
+		t.Fatalf("maybeGzip allocates %.1f times per body, want <= 10 (a fresh gzip.Writer costs 20)", n)
 	}
 }
 

@@ -23,19 +23,21 @@ type CellCache interface {
 }
 
 // Resolver is the optional CellCache extension for caches that can
-// resolve a whole experiment spec, not just look up keys — the farm
-// HTTPCache in compute mode, whose single streaming request asks the farm
-// to simulate whatever it does not hold. A single cell is an experiment of
-// one (CellJob.Spec). Each cell is handed to deliver as it arrives
-// (already validated by the implementation, and before Resolve returns);
-// (0, nil) means the cache has no compute path and the caller loses
-// nothing by simulating locally. The failure contract matches the rest of
-// the cache surface: deliver what arrived, return the error, and the
-// engine resolves the remainder itself — a broken resolver costs time,
-// never the run. A resolver must NOT fall back to simulating locally
-// itself; the engine owns that path.
+// resolve a batch of cells, not just look up keys — the farm HTTPCache in
+// compute mode, whose single streaming request asks the farm to simulate
+// whatever it does not hold. The engine hands it every cell of a request
+// it could not answer otherwise in one call, keys[i] being jobs[i]'s key
+// under the caller's version stamp; a lone miss is a batch of one. Each
+// cell is handed to deliver as it arrives (already validated by
+// the implementation; calls are serialized and all happen before Resolve
+// returns); (0, nil) means the cache has no compute path and the caller
+// loses nothing by simulating locally. The failure contract matches the
+// rest of the cache surface: deliver what arrived, return the error, and
+// the engine resolves the remainder itself — a broken resolver costs
+// time, never the run. A resolver must NOT fall back to simulating
+// locally itself; the engine owns that path.
 type Resolver interface {
-	Resolve(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error)
+	Resolve(ctx context.Context, jobs []CellJob, keys []string, opts Options, deliver func(key string, r Run)) (int, error)
 }
 
 // ---------------------------------------------------------------------------
@@ -222,14 +224,20 @@ func NewTieredCache(layers ...CellCache) *TieredCache {
 
 // Get returns the first hit, promoting it into the missed faster layers.
 func (c *TieredCache) Get(key string) (Run, bool, error) {
+	return getPromoting(c.layers, key)
+}
+
+// getPromoting returns the first hit among layers, promoting it into the
+// missed layers before it.
+func getPromoting(layers []CellCache, key string) (Run, bool, error) {
 	var firstErr error
-	for i, layer := range c.layers {
+	for i, layer := range layers {
 		r, ok, err := layer.Get(key)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 		if ok {
-			for _, upper := range c.layers[:i] {
+			for _, upper := range layers[:i] {
 				if err := upper.Put(key, r); err != nil && firstErr == nil {
 					firstErr = err
 				}
@@ -240,25 +248,48 @@ func (c *TieredCache) Get(key string) (Run, bool, error) {
 	return Run{}, false, firstErr
 }
 
-// Resolve forwards a spec to the first layer that can resolve it (a
-// Resolver — the farm client as the slowest layer of the canonical
-// stack), backfilling every faster layer with each delivered cell on the
-// way through. With no such layer it is a clean no-op that touches no
-// layer: the engine simulates locally.
-func (c *TieredCache) Resolve(ctx context.Context, spec MatrixSpec, opts Options, deliver func(key string, r Run)) (int, error) {
+// Resolve hands jobs to the first layer that can resolve them (a Resolver
+// — the farm client as the slowest layer of the canonical stack). The
+// faster layers answer their own hits first, so only the cells none of
+// them holds are forwarded, and every cell the resolver delivers is
+// backfilled into them on the way through. With no such layer it is a
+// clean no-op that touches no layer: the engine simulates locally.
+func (c *TieredCache) Resolve(ctx context.Context, jobs []CellJob, keys []string, opts Options, deliver func(key string, r Run)) (int, error) {
 	for i, layer := range c.layers {
 		res, ok := layer.(Resolver)
 		if !ok {
 			continue
 		}
-		return res.Resolve(ctx, spec, opts, func(key string, r Run) {
-			for _, upper := range c.layers[:i] {
-				_ = upper.Put(key, r) // best-effort backfill, like Get's promotion
-			}
-			if deliver != nil {
+		upper := c.layers[:i]
+		hit := make([]bool, len(jobs))
+		hits := 0
+		for k, key := range keys {
+			// A read error is a miss here: the resolver answers the cell.
+			if r, ok, _ := getPromoting(upper, key); ok {
+				hit[k] = true
+				hits++
 				deliver(key, r)
 			}
+		}
+		if hits == len(jobs) {
+			return hits, nil
+		}
+		misses, missKeys := jobs, keys // usually nothing hit: no copy
+		if hits > 0 {
+			misses, missKeys = nil, nil
+			for k := range jobs {
+				if !hit[k] {
+					misses, missKeys = append(misses, jobs[k]), append(missKeys, keys[k])
+				}
+			}
+		}
+		n, err := res.Resolve(ctx, misses, missKeys, opts, func(key string, r Run) {
+			for _, u := range upper {
+				_ = u.Put(key, r) // best-effort backfill, like Get's promotion
+			}
+			deliver(key, r)
 		})
+		return hits + n, err
 	}
 	return 0, nil
 }

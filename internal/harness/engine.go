@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -23,17 +22,6 @@ type CellJob struct {
 	Config core.Config
 	Scheme core.SchemeKind
 	Bench  workloads.Profile
-}
-
-// Spec is the job as an experiment of one: a 1 config × 1 scheme × 1
-// benchmark MatrixSpec, the form a Resolver resolves single cells in.
-func (j CellJob) Spec() MatrixSpec {
-	return MatrixSpec{
-		Name:    fmt.Sprintf("%s@%s@%s", j.Bench.Name, j.Config.Name, j.Scheme),
-		Configs: []core.Config{j.Config},
-		Benches: []workloads.Profile{j.Bench},
-		Schemes: []core.SchemeKind{j.Scheme},
-	}
 }
 
 // CellResult is one completed cell, streamed to subscribers the moment it
@@ -68,18 +56,19 @@ func (s EngineStats) HitRate() float64 {
 }
 
 // flight is one in-progress cell resolution; concurrent requests for the
-// same key wait on done and share res/err instead of re-simulating.
+// same key wait on done and share run/err instead of re-simulating.
 type flight struct {
 	done chan struct{}
-	res  CellResult
+	run  Run
 	err  error
 }
 
 // Engine executes content-addressed cells at most once per key.
 type Engine struct {
-	version string
-	cache   CellCache     // may be nil: single-flight dedup only
-	gate    chan struct{} // bounds concurrent simulations (nil: unbounded)
+	version  string
+	cache    CellCache     // may be nil: single-flight dedup only
+	resolver Resolver      // the cache's compute path; nil when it has none
+	gate     chan struct{} // bounds concurrent simulations (nil: unbounded)
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -103,9 +92,28 @@ func NewEngine(cache CellCache, version string) *Engine {
 	return &Engine{
 		version:  version,
 		cache:    cache,
+		resolver: resolverOf(cache),
 		inflight: make(map[string]*flight),
 		subs:     make(map[int]func(CellResult)),
 	}
+}
+
+// resolverOf returns c's compute path: c itself when it is a Resolver that
+// can resolve, nil when it cannot — a tiered stack resolves only through
+// a Resolver layer, and without one the engine skips batching entirely.
+func resolverOf(c CellCache) Resolver {
+	switch c := c.(type) {
+	case *TieredCache:
+		for _, layer := range c.layers {
+			if resolverOf(layer) != nil {
+				return c
+			}
+		}
+		return nil
+	case Resolver:
+		return c
+	}
+	return nil
 }
 
 // Stats returns a snapshot of the engine's cell accounting.
@@ -176,54 +184,69 @@ func (e *Engine) Key(job CellJob, opts Options) string {
 	return CellFingerprint(e.version, job.Config, job.Scheme, job.Bench, opts)
 }
 
+// claim returns key's in-flight resolution and whether the caller now
+// holds it: a holder must complete the flight on every path, a non-holder
+// waits on its done channel.
+func (e *Engine) claim(key string) (*flight, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if f, busy := e.inflight[key]; busy {
+		return f, false
+	}
+	f := &flight{done: make(chan struct{})}
+	e.inflight[key] = f
+	return f, true
+}
+
+// complete publishes a held flight's outcome, releases its key and wakes
+// its waiters. Errors are never cached — a waiter that sees one claims the
+// key and retries.
+func (e *Engine) complete(key string, f *flight, res CellResult, err error) {
+	f.run, f.err = res.Run, err
+	e.mu.Lock()
+	delete(e.inflight, key)
+	if err == nil {
+		e.stats.Cells++
+		if res.Cached {
+			e.stats.Hits++
+		} else {
+			e.stats.Simulated++
+			e.stats.SimCycles += res.Run.TotalCycles
+		}
+	}
+	e.mu.Unlock()
+	close(f.done)
+}
+
 // cell resolves one key: cache lookup, then single-flight simulation.
-// Errors are never cached — a failed cell is retried by the next request.
 func (e *Engine) cell(ctx context.Context, job CellJob, opts Options) (CellResult, error) {
 	key := e.Key(job, opts)
 	for {
-		e.mu.Lock()
-		if f, busy := e.inflight[key]; busy {
-			e.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				continue // the holder failed; claim the key and retry
-			}
-			res := f.res
-			res.Cached = true // coalesced onto the in-flight execution
-			e.mu.Lock()
-			e.stats.Cells++
-			e.stats.Hits++
-			e.stats.Coalesced++
-			e.mu.Unlock()
-			return res, nil
+		f, held := e.claim(key)
+		if held {
+			res, err := e.resolve(ctx, key, job, opts, true)
+			e.complete(key, f, res, err)
+			return res, err
 		}
-		f := &flight{done: make(chan struct{})}
-		e.inflight[key] = f
-		e.mu.Unlock()
-
-		f.res, f.err = e.resolve(ctx, key, job, opts)
-
-		e.mu.Lock()
-		delete(e.inflight, key)
-		if f.err == nil {
-			e.stats.Cells++
-			if f.res.Cached {
-				e.stats.Hits++
-			} else {
-				e.stats.Simulated++
-				e.stats.SimCycles += f.res.Run.TotalCycles
-			}
+		<-f.done
+		if f.err != nil {
+			continue // the holder failed; claim the key and retry
 		}
+		res := CellResult{Key: key, Job: job, Run: f.run, Cached: true} // coalesced onto the in-flight execution
+		e.mu.Lock()
+		e.stats.Cells++
+		e.stats.Hits++
+		e.stats.Coalesced++
 		e.mu.Unlock()
-		close(f.done)
-		return f.res, f.err
+		return res, nil
 	}
 }
 
-// resolve serves key from the cache or simulates it.
-func (e *Engine) resolve(ctx context.Context, key string, job CellJob, opts Options) (CellResult, error) {
+// resolve serves key from the cache or simulates it; ask says whether a
+// Resolver cache should be asked for the cell on a miss.
+func (e *Engine) resolve(ctx context.Context, key string, job CellJob, opts Options, ask bool) (CellResult, error) {
 	if e.cache != nil {
-		if r, ok := e.lookup(ctx, key, job, opts); ok {
+		if r, ok := e.lookup(ctx, key, job, opts, ask); ok {
 			return CellResult{Key: key, Job: job, Run: r, Cached: true}, nil
 		}
 	}
@@ -245,11 +268,11 @@ func (e *Engine) resolve(ctx context.Context, key string, job CellJob, opts Opti
 	return CellResult{Key: key, Job: job, Run: r}, nil
 }
 
-// lookup reads key from the cache and, on a miss, asks a Resolver cache
-// to resolve the job as an experiment of one — the farm client in compute
-// mode simulates it remotely. Every failure is a miss, reported through
-// opts.Progress: the engine re-simulates, never fails the run.
-func (e *Engine) lookup(ctx context.Context, key string, job CellJob, opts Options) (Run, bool) {
+// lookup reads key from the cache and, on a miss when ask is set, asks a
+// Resolver cache to resolve the job as a batch of one — the farm client in
+// compute mode simulates it remotely. Every failure is a miss, reported
+// through opts.Progress: the engine re-simulates, never fails the run.
+func (e *Engine) lookup(ctx context.Context, key string, job CellJob, opts Options, ask bool) (Run, bool) {
 	r, ok, err := e.cache.Get(key)
 	if ok {
 		return r, true
@@ -257,12 +280,11 @@ func (e *Engine) lookup(ctx context.Context, key string, job CellJob, opts Optio
 	if err != nil {
 		opts.logf("harness: cell cache read %s: %v (re-simulating)", key, err)
 	}
-	res, isResolver := e.cache.(Resolver)
-	if !isResolver {
+	if !ask || e.resolver == nil {
 		return Run{}, false
 	}
 	found := false
-	_, err = res.Resolve(ctx, job.Spec(), opts, func(k string, got Run) {
+	_, err = e.resolver.Resolve(ctx, []CellJob{job}, []string{key}, opts, func(k string, got Run) {
 		if k == key {
 			r, found = got, true
 		}
@@ -273,45 +295,98 @@ func (e *Engine) lookup(ctx context.Context, key string, job CellJob, opts Optio
 	return r, found
 }
 
-// PrefetchExperiment resolves a whole spec through the cache's Resolver
-// when it has one (the farm client in compute mode as the slowest tier):
-// one streaming request warms the faster cache layers with every cell, so
-// the per-cell resolution that follows is all local hits and a cold
-// remote experiment costs one request, not one per cell. Returns the
-// number of cells delivered. Failures follow the cache contract — report
-// through opts.Progress and fall back to per-cell resolution, never fail
-// the run.
-func (e *Engine) PrefetchExperiment(ctx context.Context, spec MatrixSpec, opts Options) int {
-	res, ok := e.cache.(Resolver)
-	if !ok || len(spec.Schemes) == 0 {
-		return 0
-	}
-	n, err := res.Resolve(ctx, spec, opts, nil)
-	if err != nil {
-		opts.logf("harness: experiment %q stream: %v (%d cells delivered; resolving per cell)",
-			spec.Name, err, n)
-	}
-	return n
-}
-
 // RunCells resolves jobs on a bounded pool of opts.Parallelism workers
 // (zero: all CPUs) and returns their runs in job order. Semantics match
 // the evaluation engine's: fail-fast on the first error, prompt
 // cancellation through ctx, results independent of scheduling order.
 // Progress lines and subscriber streams fire per cell in completion order.
+//
+// With a Resolver cache, RunCells first claims every key no other request
+// is resolving and hands the claimed batch to the resolver in one call —
+// one streaming request for a cold remote experiment, not one per cell.
+// Each delivered cell completes its key's single-flight entry and is
+// emitted the moment it arrives. Cells the batch did not deliver, and
+// keys other requests were already resolving, then go through the
+// per-cell path: cache lookup, a batch of one (unless the batch already
+// was that one cell), local simulation.
 func (e *Engine) RunCells(ctx context.Context, jobs []CellJob, opts Options) ([]Run, error) {
 	runs := make([]Run, len(jobs))
 	var done int
-	err := ParallelDo(ctx, len(jobs), opts.Parallelism, func(i int) error {
-		res, err := e.cell(ctx, jobs[i], opts)
+	finish := func(i int, res CellResult) {
+		runs[i] = res.Run
+		e.emit(res, opts, &done, len(jobs))
+	}
+	keys := make([]string, len(jobs))
+	held := make([]*flight, len(jobs)) // flights this call holds, by job index
+	finished := make([]bool, len(jobs))
+	batched := 0 // cells handed to the resolver in one batch
+	if e.resolver != nil {
+		batch := make(map[string]int, len(jobs))
+		for i, job := range jobs {
+			keys[i] = e.Key(job, opts)
+			if f, mine := e.claim(keys[i]); mine {
+				held[i] = f
+				batch[keys[i]] = i
+			}
+		}
+		batched = len(batch)
+		claimed, claimedKeys := jobs, keys // usually every key: no copy
+		if batched < len(jobs) {
+			claimed, claimedKeys = nil, nil
+			for i, f := range held {
+				if f != nil {
+					claimed, claimedKeys = append(claimed, jobs[i]), append(claimedKeys, keys[i])
+				}
+			}
+		}
+		if batched > 0 {
+			n, err := e.resolver.Resolve(ctx, claimed, claimedKeys, opts, func(key string, r Run) {
+				i, ok := batch[key]
+				if !ok {
+					return // not a key this batch asked for
+				}
+				delete(batch, key)
+				res := CellResult{Key: key, Job: jobs[i], Run: r, Cached: true}
+				e.complete(key, held[i], res, nil)
+				held[i], finished[i] = nil, true
+				finish(i, res)
+			})
+			if err != nil {
+				opts.logf("harness: resolve %d cells: %v (%d delivered; resolving the rest per cell)",
+					len(claimed), err, n)
+			}
+		}
+	}
+	var rest []int
+	for i := range jobs {
+		if !finished[i] {
+			rest = append(rest, i)
+		}
+	}
+	err := ParallelDo(ctx, len(rest), opts.Parallelism, func(k int) error {
+		i := rest[k]
+		var res CellResult
+		var err error
+		if f := held[i]; f != nil {
+			res, err = e.resolve(ctx, keys[i], jobs[i], opts, batched > 1)
+			e.complete(keys[i], f, res, err)
+			held[i] = nil
+		} else {
+			res, err = e.cell(ctx, jobs[i], opts)
+		}
 		if err != nil {
 			return err
 		}
-		runs[i] = res.Run
-		e.emit(res, opts, &done, len(jobs))
+		finish(i, res)
 		return nil
 	})
 	if err != nil {
+		// Release the flights the pool abandoned, so their waiters retry.
+		for i, f := range held {
+			if f != nil {
+				e.complete(keys[i], f, CellResult{}, err)
+			}
+		}
 		return nil, err
 	}
 	return runs, nil

@@ -193,13 +193,6 @@ func (s *Session) Matrix(ctx context.Context, spec MatrixSpec) (*Matrix, error) 
 	s.mu.Unlock()
 
 	schemes := s.specSchemes(spec)
-	// With a Resolver cache (the farm client in compute mode),
-	// one streaming request warms the local layers with the whole cell set
-	// before the per-cell walk — the walk then resolves entirely from the
-	// fast layers, so a cold remote matrix is one request, not one per cell.
-	resolved := spec
-	resolved.Schemes = schemes
-	s.engine.PrefetchExperiment(ctx, resolved, s.opts)
 	runs, err := s.engine.RunCells(ctx, enumerateJobs(spec.Configs, schemes, spec.Benches), s.opts)
 	if err != nil {
 		return nil, err

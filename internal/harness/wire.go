@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -26,16 +27,21 @@ func CellKey(job CellJob, opts Options) string {
 // behaviour on whichever process simulates, never results. The receiver
 // enumerates the cross product in the canonical order (config-major, then
 // scheme, then benchmark) and arrives at exactly the per-cell keys the
-// sender derives. A single cell travels the same way, as an experiment of
-// one (CellJob.Spec).
+// sender derives. Cells optionally narrows the request to a subset of
+// that enumeration — how a coordinator hands each worker its share of an
+// experiment as one sub-stream — without changing any cell's key. A
+// single cell travels the same way, as an experiment of one.
 type ExperimentJobWire struct {
 	Name    string              `json:"name"`
 	Configs []core.Config       `json:"configs"`
 	Schemes []string            `json:"schemes"`
 	Benches []workloads.Profile `json:"benches"`
-	Scale   int                 `json:"scale"`
-	Warmup  uint64              `json:"warmup"`
-	Measure uint64              `json:"measure"`
+	// Cells lists strictly ascending indices into the canonical
+	// enumeration; empty means every cell.
+	Cells   []int  `json:"cells,omitempty"`
+	Scale   int    `json:"scale"`
+	Warmup  uint64 `json:"warmup"`
+	Measure uint64 `json:"measure"`
 }
 
 // maxWireCells bounds the cross product one experiment request may ask a
@@ -46,19 +52,54 @@ const maxWireCells = 8192
 // WireExperiment flattens a resolved spec (Schemes filled — the session
 // resolves its scheme axis before wiring) and its run bounds.
 func WireExperiment(spec MatrixSpec, opts Options) ExperimentJobWire {
-	names := make([]string, len(spec.Schemes))
-	for i, k := range spec.Schemes {
-		names[i] = k.String()
-	}
-	return ExperimentJobWire{
-		Name:    spec.Name,
-		Configs: append([]core.Config(nil), spec.Configs...),
-		Schemes: names,
-		Benches: append([]workloads.Profile(nil), spec.Benches...),
+	w := WireJobs(enumerateJobs(spec.Configs, spec.Schemes, spec.Benches), opts)
+	w.Name = spec.Name
+	return w
+}
+
+// WireJobs flattens an arbitrary cell set: its axes are the distinct
+// configurations, schemes and benchmarks of jobs in order of first
+// appearance, and Cells picks the jobs out of their cross product (left
+// empty when the jobs are the whole product). A repeated job is sent once.
+// A single job is named bench@config@scheme, a larger set by its size.
+func WireJobs(jobs []CellJob, opts Options) ExperimentJobWire {
+	w := ExperimentJobWire{
+		Name:    fmt.Sprintf("%d cells", len(jobs)),
 		Scale:   max(opts.Scale, 1), // CellFingerprint and RunOne clamp the same way
 		Warmup:  opts.WarmupCycles,
 		Measure: opts.MeasureCycles,
 	}
+	cfgIdx := map[core.Config]int{}
+	kindIdx := map[core.SchemeKind]int{}
+	benchIdx := map[workloads.Profile]int{}
+	for _, j := range jobs {
+		if _, ok := cfgIdx[j.Config]; !ok {
+			cfgIdx[j.Config] = len(w.Configs)
+			w.Configs = append(w.Configs, j.Config)
+		}
+		if _, ok := kindIdx[j.Scheme]; !ok {
+			kindIdx[j.Scheme] = len(w.Schemes)
+			w.Schemes = append(w.Schemes, j.Scheme.String())
+		}
+		if _, ok := benchIdx[j.Bench]; !ok {
+			benchIdx[j.Bench] = len(w.Benches)
+			w.Benches = append(w.Benches, j.Bench)
+		}
+	}
+	cells := make([]int, 0, len(jobs))
+	for _, j := range jobs {
+		i := (cfgIdx[j.Config]*len(w.Schemes)+kindIdx[j.Scheme])*len(w.Benches) + benchIdx[j.Bench]
+		cells = append(cells, i)
+	}
+	slices.Sort(cells)
+	cells = slices.Compact(cells)
+	if len(cells) < len(w.Configs)*len(w.Schemes)*len(w.Benches) {
+		w.Cells = cells
+	}
+	if len(jobs) == 1 {
+		w.Name = fmt.Sprintf("%s@%s@%s", jobs[0].Bench.Name, jobs[0].Config.Name, jobs[0].Scheme)
+	}
+	return w
 }
 
 // Resolve validates the wire form and enumerates its cell jobs in the
@@ -100,5 +141,20 @@ func (w ExperimentJobWire) Resolve() ([]CellJob, Options, error) {
 		return nil, Options{}, fmt.Errorf("harness: wire experiment %q: zero measurement window", w.Name)
 	}
 	opts := Options{Scale: max(w.Scale, 1), WarmupCycles: w.Warmup, MeasureCycles: w.Measure}
-	return enumerateJobs(w.Configs, schemes, w.Benches), opts, nil
+	if len(w.Cells) == 0 {
+		return enumerateJobs(w.Configs, schemes, w.Benches), opts, nil
+	}
+	ns, nb := len(schemes), len(w.Benches)
+	jobs := make([]CellJob, len(w.Cells))
+	for k, i := range w.Cells {
+		if i < 0 || i >= len(w.Configs)*ns*nb || (k > 0 && i <= w.Cells[k-1]) {
+			return nil, Options{}, fmt.Errorf(
+				"harness: wire experiment %q: cell index %d at position %d is out of range [0, %d) or not strictly ascending",
+				w.Name, i, k, len(w.Configs)*ns*nb)
+		}
+		// The canonical enumeration is config-major, then scheme, then
+		// benchmark (enumerateJobs).
+		jobs[k] = CellJob{Config: w.Configs[i/(ns*nb)], Scheme: schemes[i/nb%ns], Bench: w.Benches[i%nb]}
+	}
+	return jobs, opts, nil
 }

@@ -67,9 +67,12 @@ func NewCache(cfg CacheConfig) *Cache {
 	}
 	lines := cfg.SizeKB * 1024 / cfg.LineB
 	sets := lines / cfg.Ways
+	// One backing array for every line, sliced per set: a set is a
+	// full-capacity window, so no set can grow into its neighbour.
+	backing := make([]cacheLine, lines)
 	c := &Cache{cfg: cfg, sets: make([][]cacheLine, sets)}
 	for i := range c.sets {
-		c.sets[i] = make([]cacheLine, cfg.Ways)
+		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	for c.cfg.LineB>>c.lineShift != 1 {
 		c.lineShift++

@@ -103,13 +103,13 @@ type (
 	// CellJob names one content-addressed simulation cell.
 	CellJob = harness.CellJob
 	// ExperimentJobWire is the serializable form of one experiment
-	// request — what POST /v1/experiments carries; the receiver enumerates
-	// the identical per-cell key set. A single cell is an experiment of
-	// one (CellJob.Spec).
+	// request — what POST /v1/experiments carries, optionally narrowed to
+	// a subset of its cells; the receiver enumerates the identical
+	// per-cell key set. A single cell is an experiment of one.
 	ExperimentJobWire = harness.ExperimentJobWire
 	// Resolver is the optional CellCache extension behind remote compute:
-	// a cache that can resolve a whole MatrixSpec — or one cell, as an
-	// experiment of one — in one round trip (the farm client in compute
+	// a cache that can resolve a batch of cells — a whole experiment's
+	// misses, or one cell — in one round trip (the farm client in compute
 	// mode implements it).
 	Resolver = harness.Resolver
 
