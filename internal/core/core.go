@@ -102,7 +102,11 @@ type Core struct {
 	// recordEvent (nil for schemes that track no taint).
 	taintQ taintQuerier
 
-	Stats Stats
+	// Stats holds the counters since the core was built; Result.Stats
+	// reports each Run's share of them, measured from runMark, the
+	// counters as the previous Run returned.
+	Stats   Stats
+	runMark Stats
 }
 
 // New builds a core for the given configuration, secure scheme, and
@@ -218,7 +222,13 @@ type RunLimits struct {
 	MaxInsts  uint64
 }
 
-// Result summarizes a Run.
+// Result summarizes a Run. Cycles, Insts and IPC are the machine's
+// running totals, so a caller resumes with an absolute MaxCycles. Stats
+// counts only the cycles of this call (Stats.Since the counters the
+// previous Run returned): a warmup-then-measure caller gets the measured
+// window's counters from its second call, with Stats.Cycles and
+// Stats.Committed equal to the window's cycles and instructions. The
+// first Run of a core reports everything since New.
 type Result struct {
 	Cycles uint64
 	Insts  uint64
@@ -357,12 +367,14 @@ func (c *Core) nextWake() uint64 {
 }
 
 func (c *Core) result() Result {
+	window := c.Stats.Since(c.runMark)
+	c.runMark = c.Stats
 	return Result{
 		Cycles: c.cycle,
 		Insts:  c.Stats.Committed,
 		IPC:    c.Stats.IPC(),
 		Halted: c.halted,
-		Stats:  c.Stats,
+		Stats:  window,
 	}
 }
 

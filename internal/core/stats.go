@@ -8,7 +8,9 @@ import (
 // Stats aggregates the core's performance counters. The taxonomy mirrors
 // the KPIs the paper extracts with TraceDoctor (Section 7): committed
 // work, stall causes, squash causes, forwarding behaviour, and the
-// scheme-specific taint/broadcast activity.
+// scheme-specific taint/broadcast activity. Every uint64 field is an
+// event counter; the two int fields, MaxRenameChain and SpecBufPeak, are
+// high-water marks, which Since keeps whole-run.
 type Stats struct {
 	Cycles    uint64
 	Committed uint64
@@ -61,6 +63,53 @@ type Stats struct {
 	Exposures       uint64 // InvisiSpec: exposure re-accesses performed
 	ExposureRetries uint64 // InvisiSpec: exposures deferred on a full MSHR file
 	SpecBufPeak     int    // InvisiSpec: peak speculative-buffer occupancy
+}
+
+// Since returns the counters accumulated after start, an earlier snapshot
+// of the same core: every event counter is s minus start. The high-water
+// marks MaxRenameChain and SpecBufPeak cannot be split at a point in time,
+// so they stay the whole run's.
+func (s Stats) Since(start Stats) Stats {
+	return Stats{
+		Cycles:              s.Cycles - start.Cycles,
+		Committed:           s.Committed - start.Committed,
+		CommittedLoads:      s.CommittedLoads - start.CommittedLoads,
+		CommittedStores:     s.CommittedStores - start.CommittedStores,
+		CommittedBranches:   s.CommittedBranches - start.CommittedBranches,
+		CommittedJumps:      s.CommittedJumps - start.CommittedJumps,
+		Fetched:             s.Fetched - start.Fetched,
+		BranchesResolved:    s.BranchesResolved - start.BranchesResolved,
+		Mispredicts:         s.Mispredicts - start.Mispredicts,
+		BTBMissForcedNT:     s.BTBMissForcedNT - start.BTBMissForcedNT,
+		MemOrderViolations:  s.MemOrderViolations - start.MemOrderViolations,
+		MemOrderFlushes:     s.MemOrderFlushes - start.MemOrderFlushes,
+		FwdHits:             s.FwdHits - start.FwdHits,
+		FwdWaits:            s.FwdWaits - start.FwdWaits,
+		SpecLoadsExecuted:   s.SpecLoadsExecuted - start.SpecLoadsExecuted,
+		MSHRRetries:         s.MSHRRetries - start.MSHRRetries,
+		MemDepStalls:        s.MemDepStalls - start.MemDepStalls,
+		SquashedUops:        s.SquashedUops - start.SquashedUops,
+		RenameStallROB:      s.RenameStallROB - start.RenameStallROB,
+		RenameStallIQ:       s.RenameStallIQ - start.RenameStallIQ,
+		RenameStallLQ:       s.RenameStallLQ - start.RenameStallLQ,
+		RenameStallSQ:       s.RenameStallSQ - start.RenameStallSQ,
+		RenameStallPhys:     s.RenameStallPhys - start.RenameStallPhys,
+		RenameStallCkpt:     s.RenameStallCkpt - start.RenameStallCkpt,
+		RenameStallEmpty:    s.RenameStallEmpty - start.RenameStallEmpty,
+		IssuedUops:          s.IssuedUops - start.IssuedUops,
+		TaintedRenames:      s.TaintedRenames - start.TaintedRenames,
+		MaxRenameChain:      s.MaxRenameChain,
+		RenameChainSum:      s.RenameChainSum - start.RenameChainSum,
+		TaintBlockedSelects: s.TaintBlockedSelects - start.TaintBlockedSelects,
+		TaintNopSlots:       s.TaintNopSlots - start.TaintNopSlots,
+		YRoTBroadcasts:      s.YRoTBroadcasts - start.YRoTBroadcasts,
+		DelayedBroadcasts:   s.DelayedBroadcasts - start.DelayedBroadcasts,
+		DoMDelayedLoads:     s.DoMDelayedLoads - start.DoMDelayedLoads,
+		InvisibleLoads:      s.InvisibleLoads - start.InvisibleLoads,
+		Exposures:           s.Exposures - start.Exposures,
+		ExposureRetries:     s.ExposureRetries - start.ExposureRetries,
+		SpecBufPeak:         s.SpecBufPeak,
+	}
 }
 
 // IPC returns committed instructions per cycle.

@@ -13,7 +13,9 @@ import (
 // can alter a simulated result — pipeline timing, scheme semantics, memory
 // hierarchy, workload generation — and leave it alone for perf-only
 // refactors that keep the commit-stream and figure goldens byte-identical.
-const SimVersion = "shadowbinding-sim/v3"
+// v4: a cell's Stats count the measured window only (Result.Stats covers
+// one Run call), so cells of v3 and v4 binaries must not mix.
+const SimVersion = "shadowbinding-sim/v4"
 
 // Fingerprint returns a stable content hash of the configuration: every
 // field that parameterizes the core and its memory hierarchy, in canonical

@@ -54,7 +54,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/harness"
 )
 
@@ -93,10 +92,11 @@ const (
 )
 
 // CellEnvelope is one cell result on the wire — the farm counterpart of
-// the disk cache's on-disk entry. The scheme's registered name rides along
-// for the same reason: a receiver revalidates it against its own registry,
-// so an entry from a binary with a renumbered or missing scheme is a miss
-// (or a rejected write), never a silently mislabeled result.
+// the disk cache's binary entry, as JSON. The scheme's registered name
+// rides along for the same reason: a receiver revalidates it against its
+// own registry (harness.ValidateCell), so an entry from a binary with a
+// renumbered or missing scheme is a miss (or a rejected write), never a
+// silently mislabeled result.
 type CellEnvelope struct {
 	Schema string      `json:"schema"`
 	Key    string      `json:"key"`
@@ -113,18 +113,14 @@ func newEnvelope(key string, r harness.Run, cached bool) CellEnvelope {
 	return CellEnvelope{Schema: Schema, Key: key, Scheme: r.Scheme.String(), Run: r, Cached: cached}
 }
 
-// validate checks an envelope received for wantKey: schema, key identity,
-// and scheme-name revalidation against this process's registry.
+// validate checks an envelope received for wantKey: its schema, then key
+// identity and scheme-name revalidation, shared with the disk store.
 func (e CellEnvelope) validate(wantKey string) error {
 	if e.Schema != Schema {
 		return fmt.Errorf("farm: envelope schema %q, want %q", e.Schema, Schema)
 	}
-	if wantKey != "" && e.Key != wantKey {
-		return fmt.Errorf("farm: envelope key %q does not match requested %q (version skew?)", e.Key, wantKey)
-	}
-	kind, ok := core.SchemeKindByName(e.Scheme)
-	if !ok || kind != e.Run.Scheme {
-		return fmt.Errorf("farm: envelope scheme %q does not resolve to the run's kind", e.Scheme)
+	if err := harness.ValidateCell(e.Key, wantKey, e.Scheme, e.Run); err != nil {
+		return fmt.Errorf("farm: envelope: %w", err)
 	}
 	return nil
 }

@@ -3,13 +3,10 @@ package harness
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // CellCache persists content-addressed cell results. Implementations must
@@ -58,7 +55,7 @@ type memEntry struct {
 	run Run
 }
 
-// DefaultMemoryCacheSize holds every cell of the full evaluation (504)
+// DefaultMemoryCacheSize holds every cell of the full evaluation (756)
 // with generous headroom for option sweeps and drop-in schemes.
 const DefaultMemoryCacheSize = 8192
 
@@ -114,26 +111,14 @@ func (c *MemoryCache) Len() int {
 }
 
 // ---------------------------------------------------------------------------
-// On-disk JSON store.
+// On-disk binary store.
 
-// CellSchema identifies the on-disk cell entry layout.
-const CellSchema = "shadowbinding-cell/v1"
-
-// cellFile is one persisted cell result. The scheme's registered *name*
-// rides along so a loaded entry can be revalidated: if the name no longer
-// resolves to the run's kind (a drop-in scheme was renumbered or removed),
-// the entry is a miss, not a silently mislabeled result.
-type cellFile struct {
-	Schema string `json:"schema"`
-	Key    string `json:"key"`
-	Scheme string `json:"scheme"`
-	Run    Run    `json:"run"`
-}
-
-// DiskCache stores one JSON file per cell under a directory — the
-// persistent layer behind the cmds' -cache flag. Writes are atomic
-// (temp file + rename), so concurrent processes sharing a directory see
-// whole entries or none.
+// DiskCache stores one binary entry per cell (<key>.cell, schema
+// CellSchema; see cellcodec.go) under a directory — the persistent layer
+// behind the cmds' -cache flag. Writes are atomic (temp file + rename), so
+// concurrent processes sharing a directory see whole entries or none.
+// Entries of the old JSON store (<key>.json, schema v1) are never read:
+// they simply miss, and are safe to delete.
 type DiskCache struct {
 	dir string
 }
@@ -147,11 +132,13 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 }
 
 func (c *DiskCache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
+	return filepath.Join(c.dir, key+".cell")
 }
 
-// Get loads one entry; corrupt, mismatched, or stale-scheme entries are
-// misses (with the parse error reported for corrupt ones).
+// Get loads one entry. A corrupt entry, one of another schema or
+// core.Stats layout, one stored under a foreign key, or one whose scheme
+// name no longer resolves to its run's kind is a miss with the reason
+// reported as the error.
 func (c *DiskCache) Get(key string) (Run, bool, error) {
 	data, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -160,17 +147,14 @@ func (c *DiskCache) Get(key string) (Run, bool, error) {
 		}
 		return Run{}, false, err
 	}
-	var f cellFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	gotKey, scheme, r, err := decodeCell(data)
+	if err == nil {
+		err = ValidateCell(gotKey, key, scheme, r)
+	}
+	if err != nil {
 		return Run{}, false, fmt.Errorf("harness: cell cache %s: %w", c.path(key), err)
 	}
-	if f.Schema != CellSchema || f.Key != key {
-		return Run{}, false, nil
-	}
-	if kind, ok := core.SchemeKindByName(f.Scheme); !ok || kind != f.Run.Scheme {
-		return Run{}, false, nil
-	}
-	return f.Run, true, nil
+	return r, true, nil
 }
 
 // Put writes one entry atomically. Every failure path is wrapped with the
@@ -179,20 +163,11 @@ func (c *DiskCache) Get(key string) (Run, bool, error) {
 // quota, permissions) degrades the whole run to warn-and-continue, never
 // to an error.
 func (c *DiskCache) Put(key string, r Run) error {
-	data, err := json.MarshalIndent(cellFile{
-		Schema: CellSchema,
-		Key:    key,
-		Scheme: r.Scheme.String(),
-		Run:    r,
-	}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("harness: marshal cell %s: %w", key, err)
-	}
 	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		return fmt.Errorf("harness: cell cache write %s: %w", key, err)
 	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(encodeCell(key, r.Scheme.String(), r)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("harness: cell cache write %s: %w", key, err)

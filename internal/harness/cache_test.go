@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -152,7 +158,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 
 	// Corrupt entry: miss with a reported error.
-	if err := os.WriteFile(filepath.Join(dir, "bad.json"), []byte("{nope"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "bad.cell"), []byte("{nope"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := c2.Get("bad"); ok || err == nil {
@@ -160,7 +166,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 
 	// An entry renamed to the wrong key must miss (content-addressing).
-	if err := os.Rename(filepath.Join(dir, "key1.json"), filepath.Join(dir, "key2.json")); err != nil {
+	if err := os.Rename(filepath.Join(dir, "key1.cell"), filepath.Join(dir, "key2.cell")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := c2.Get("key2"); ok {
@@ -169,23 +175,137 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 
 	// A stale scheme label (name no longer resolving to the run's kind)
 	// must miss instead of mislabeling the result.
-	stale := fakeRun("505.mcf", core.KindSTTIssue, 8000)
-	if err := c1.Put("key3", stale); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "key3.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mangled := strings.Replace(string(data), `"scheme": "stt-issue"`, `"scheme": "nda"`, 1)
-	if mangled == string(data) {
-		t.Fatal("test setup: scheme label not found in entry")
-	}
-	if err := os.WriteFile(filepath.Join(dir, "key3.json"), []byte(mangled), 0o644); err != nil {
+	stale := encodeCell("key3", "nda", fakeRun("505.mcf", core.KindSTTIssue, 8000))
+	if err := os.WriteFile(filepath.Join(dir, "key3.cell"), stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := c2.Get("key3"); ok {
 		t.Error("entry with a mismatched scheme label must miss")
+	}
+}
+
+// everyFieldRun returns a Run whose every field, and every core.Stats
+// field, holds a distinct non-zero value, set by reflection so a field
+// added later is covered without editing the test.
+func everyFieldRun(t testing.TB) Run {
+	r := Run{Bench: "505.mcf", Config: "mega", Scheme: core.KindSTTRename, IPC: 1.0 / 3}
+	n := uint64(1)
+	var set func(v reflect.Value)
+	set = func(v reflect.Value) {
+		for i := range v.NumField() {
+			f := v.Field(i)
+			n += 0x123456789 // distinct, multi-byte varints
+			switch {
+			case !f.IsZero():
+			case f.Kind() == reflect.Struct:
+				set(f)
+			case f.CanUint():
+				f.SetUint(n)
+			case f.CanInt():
+				f.SetInt(-int64(n))
+			default:
+				t.Fatalf("Run field %s has kind %s: extend the cell codec and this test", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	set(reflect.ValueOf(&r).Elem())
+	return r
+}
+
+// TestCellCodecEveryField: every Run and core.Stats field survives the
+// binary entry, so a field the codec drops fails here.
+func TestCellCodecEveryField(t *testing.T) {
+	want := everyFieldRun(t)
+	key, scheme, got, err := decodeCell(encodeCell("k", want.Scheme.String(), want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "k" || scheme != want.Scheme.String() || got != want {
+		t.Errorf("round trip diverged (key %q, scheme %q):\ngot  %+v\nwant %+v", key, scheme, got, want)
+	}
+}
+
+// withLayout returns entry with its core.Stats layout word replaced.
+func withLayout(entry []byte, layout uint64) []byte {
+	out := slices.Clone(entry)
+	off := len(cellMagic) + 1 + len(CellSchema) // magic, schema length byte, schema
+	binary.LittleEndian.PutUint64(out[off:], layout)
+	return out
+}
+
+// TestDiskCacheRejectsOtherLayouts: an entry written under another
+// core.Stats layout, a truncated or extended entry, one whose IPC is not a
+// number (it could never round-trip), and a leftover v1 JSON entry all
+// read as misses.
+func TestDiskCacheRejectsOtherLayouts(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDiskCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := everyFieldRun(t)
+	entry := encodeCell("k", r.Scheme.String(), r)
+	nan := r
+	nan.IPC = math.NaN()
+	for name, data := range map[string][]byte{
+		"layout":    withLayout(entry, statsLayout+1),
+		"truncated": entry[:len(entry)-1],
+		"trailing":  append(slices.Clone(entry), 0),
+		"nan ipc":   encodeCell("k", nan.Scheme.String(), nan),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, "k.cell"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := c.Get("k"); ok || err == nil {
+			t.Errorf("%s: ok %v, err %v; want a miss with an error", name, ok, err)
+		}
+	}
+
+	// A v1 store's <key>.json is not an entry of this store at all.
+	if err := os.Remove(filepath.Join(dir, "k.cell")); err != nil {
+		t.Fatal(err)
+	}
+	v1 := `{"schema":"shadowbinding-cell/v1","key":"k","scheme":"stt-rename","run":{"Scheme":2}}`
+	if err := os.WriteFile(filepath.Join(dir, "k.json"), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := c.Get("k"); ok || err != nil {
+		t.Errorf("v1 entry: ok %v, err %v; want a plain miss", ok, err)
+	}
+}
+
+// TestCellFingerprintMatchesJSON: the key assembled from memoized parts is
+// byte for byte the hash of cellInputs' JSON encoding, for every
+// registered configuration, scheme and profile and for version stamps
+// that need escaping.
+func TestCellFingerprintMatchesJSON(t *testing.T) {
+	reference := func(version string, cfg core.Config, kind core.SchemeKind, prof workloads.Profile, opts Options) string {
+		data, err := json.Marshal(cellInputs{
+			Version: version, Config: cfg.Fingerprint(), Scheme: kind.String(), Profile: prof,
+			Scale: max(opts.Scale, 1), Warmup: opts.WarmupCycles, Measure: opts.MeasureCycles,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:16])
+	}
+	opts := DefaultOptions()
+	odd := opts
+	odd.Scale, odd.WarmupCycles, odd.MeasureCycles = 3, 1<<63+5, 0
+	cfgs := append(core.Configs(), Gem5Spec().Configs...)
+	for _, version := range []string{core.SimVersion, "", `q"<&>\x` + "\n\u2028é"} {
+		for _, cfg := range cfgs {
+			for _, kind := range core.SchemeKinds() {
+				for _, prof := range workloads.Suite() {
+					for _, o := range []Options{opts, odd} {
+						if got, want := CellFingerprint(version, cfg, kind, prof, o), reference(version, cfg, kind, prof, o); got != want {
+							t.Fatalf("%q/%s/%s/%s: key %s, want %s", version, cfg.Name, kind, prof.Name, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -203,22 +323,13 @@ func FuzzDiskCacheEntry(f *testing.F) {
 		f.Fatal(err)
 	}
 	key := CellFingerprint("test/v1", core.MegaConfig(), core.KindNDA, prof, opts)
-	seedDir := f.TempDir()
-	seeds, err := NewDiskCache(seedDir)
-	if err != nil {
-		f.Fatal(err)
+	for _, r := range []Run{simulated, fakeRun("505.mcf", core.KindBaseline, 8000), everyFieldRun(f)} {
+		entry := encodeCell(key, r.Scheme.String(), r)
+		f.Add(entry)
+		f.Add(entry[:len(entry)/2])
+		f.Add(withLayout(entry, statsLayout^1))
 	}
-	for _, r := range []Run{simulated, fakeRun("505.mcf", core.KindBaseline, 8000)} {
-		if err := seeds.Put(key, r); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(filepath.Join(seedDir, key+".json"))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Add([]byte(`{"schema":"` + CellSchema + `","key":"` + key + `","scheme":"nda","run":{"Scheme":1}}`))
+	f.Add([]byte(`{"schema":"shadowbinding-cell/v1","key":"` + key + `","scheme":"nda","run":{"Scheme":1}}`))
 	f.Add([]byte("{nope"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -226,7 +337,7 @@ func FuzzDiskCacheEntry(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, key+".json"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, key+".cell"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		got, ok, err := c.Get(key)

@@ -53,7 +53,10 @@ type Run struct {
 	Cycles uint64
 	Insts  uint64
 	IPC    float64
-	Stats  core.Stats
+	// Stats are the measured window's counters, like Cycles and Insts
+	// (Stats.Cycles == Cycles, Stats.Committed == Insts); only the
+	// high-water marks MaxRenameChain and SpecBufPeak cover the whole run.
+	Stats core.Stats
 
 	// TotalCycles is the cell's full simulated cycle count, warmup
 	// included (Cycles covers the measured window only); the throughput
@@ -92,6 +95,7 @@ func RunOneRecorded(cfg core.Config, kind core.SchemeKind, prof workloads.Profil
 		return Run{}, fmt.Errorf("harness: %s/%s/%s: proxy halted inside the measurement window (cycle %d); increase Iters or Scale",
 			cfg.Name, kind, prof.Name, res.Cycles)
 	}
+	// res.Stats counts the second Run call only: the measured window.
 	cycles := res.Cycles - warm.Cycles
 	insts := res.Insts - warm.Insts
 	return Run{

@@ -45,7 +45,7 @@ type ExperimentJobWire struct {
 }
 
 // maxWireCells bounds the cross product one experiment request may ask a
-// server to enumerate — the full paper evaluation is 504 cells, so 8192
+// server to enumerate — the full paper evaluation is 756 cells, so 8192
 // is generous headroom, not a constraint.
 const maxWireCells = 8192
 

@@ -134,8 +134,11 @@ type (
 // CacheOptions selects the cell-cache stack OpenCache assembles. The zero
 // value is valid and yields a process-private in-memory LRU.
 type CacheOptions struct {
-	// Dir adds a persistent on-disk JSON layer under the memory layer, so
-	// cells survive across processes (the cmds' -cache flag).
+	// Dir adds a persistent on-disk layer under the memory layer, so
+	// cells survive across processes (the cmds' -cache flag): one binary
+	// <key>.cell entry per cell, schema harness.CellSchema (v2). Entries
+	// of the old v1 JSON store (<key>.json) are ignored and safe to
+	// delete.
 	Dir string
 	// Remote adds a farm-backed layer (base URL, e.g.
 	// "http://127.0.0.1:8484") as the slowest tier — a shared fleet-wide

@@ -29,6 +29,27 @@ func TestRunBenchmarkFacade(t *testing.T) {
 	}
 }
 
+// TestTraceCoversTheWindow: a run's counters cover its measured window,
+// so the -cell headline IPC and the counter report agree.
+func TestTraceCoversTheWindow(t *testing.T) {
+	opts := DefaultOptions()
+	opts.WarmupCycles = 4_000
+	opts.MeasureCycles = 8_000
+	for _, kind := range []Scheme{Baseline, STTIssue} {
+		r, err := RunBenchmark(MegaConfig(), kind, "505.mcf", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := TraceOf(r).IPC; got != r.IPC {
+			t.Errorf("%s: TraceOf IPC %v, run IPC %v", kind, got, r.IPC)
+		}
+		if r.Stats.Cycles != r.Cycles || r.Stats.Committed != r.Insts {
+			t.Errorf("%s: Stats cycles/committed %d/%d, run %d/%d",
+				kind, r.Stats.Cycles, r.Stats.Committed, r.Cycles, r.Insts)
+		}
+	}
+}
+
 func TestSchemeFacade(t *testing.T) {
 	if got := len(Schemes()); got != 6 {
 		t.Errorf("registered schemes = %d, want 6", got)
